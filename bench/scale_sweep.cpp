@@ -43,8 +43,6 @@
 //   AVMEM_SHUFFLE_PERIOD_S  override the shuffle period in seconds — small
 //                         values make the run gossip-dominated (CI uses
 //                         this to gate the batched shuffle path)
-//   AVMEM_PIPELINE        1 = pipelined plan/commit dispatch (the scale
-//                         default), 0 = barrier mode (CI diffs the two)
 //   AVMEM_AVAIL_BACKEND   oracle | avmon — availability substrate
 //                         (default oracle; avmon swaps in the real
 //                         monitoring overlay, scale-avmon-* style, and
@@ -132,14 +130,8 @@ struct PointResult {
   double commitS = 0.0;  ///< warm-up wall in the serial commit phase
   double planShare = 0.0;  ///< planS / warmupS — the Amdahl-scalable part
   double planNodesPerS = 0.0;  ///< members planned / plan wall (kernel rate)
-  double pipelineOverlapS = 0.0;  ///< commit wall hidden behind spec plans
   double planSlotP50Ms = 0.0;  ///< per-slot-firing plan wall, median
   double planSlotP99Ms = 0.0;  ///< per-slot-firing plan wall, 99th pct
-  /// Firings whose speculative plans survived the acceptance check, and
-  /// launches discarded by an intervening event (JSON only — diagnostics
-  /// for how often the event mix lets cross-slot speculation engage).
-  std::uint64_t pipelinedFirings = 0;
-  std::uint64_t discardedSpeculations = 0;
   std::size_t maintTimers = 0;
   std::uint64_t completedShuffles = 0;
   std::uint64_t viewDigest = 0;  ///< order-sensitive hash over all views
@@ -198,11 +190,8 @@ void writeJson(const std::string& path, const std::vector<PointResult>& points,
         << ", \"plan_s\": " << p.planS << ", \"commit_s\": " << p.commitS
         << ", \"plan_share\": " << p.planShare
         << ", \"plan_nodes_per_s\": " << p.planNodesPerS
-        << ", \"pipeline_overlap_s\": " << p.pipelineOverlapS
         << ", \"plan_slot_p50_ms\": " << p.planSlotP50Ms
         << ", \"plan_slot_p99_ms\": " << p.planSlotP99Ms
-        << ", \"pipelined_firings\": " << p.pipelinedFirings
-        << ", \"discarded_speculations\": " << p.discardedSpeculations
         << ", \"maint_timers\": " << p.maintTimers
         << ", \"completed_shuffles\": " << p.completedShuffles
         << ", \"view_digest\": " << p.viewDigest
@@ -299,7 +288,7 @@ int main(int argc, char** argv) {
   std::cout << "# n backend threads model_mb build_s warmup_s restore_s "
                "warmup_sim_h "
                "events events_per_s plan_s commit_s plan_share "
-               "plan_nodes_per_s pipeline_overlap_s plan_slot_p50_ms "
+               "plan_nodes_per_s plan_slot_p50_ms "
                "plan_slot_p99_ms maint_timers "
                "completed_shuffles view_digest mean_degree hs_degree "
                "feed_candidates rejected dropped_offline ack_timeouts "
@@ -402,22 +391,16 @@ int main(int argc, char** argv) {
     const double commitS = system.membershipEngine().commitWallSeconds() +
                            system.shuffleService().commitWallSeconds();
 
-    // Pipeline/kernel detail, merged over the three timing wheels
+    // Kernel detail, merged over the three timing wheels
     // (discovery, refresh, shuffle initiation).
     const sim::ShardedScheduler* wheels[] = {
         &system.membershipEngine().discoveryScheduler(),
         &system.membershipEngine().refreshScheduler(),
         &system.shuffleService().scheduler()};
     std::uint64_t plannedMembers = 0;
-    std::uint64_t pipelinedFirings = 0;
-    std::uint64_t discardedSpeculations = 0;
-    double overlapS = 0.0;
     std::vector<std::uint64_t> slotNs;
     for (const sim::ShardedScheduler* w : wheels) {
       plannedMembers += w->plannedMembers();
-      pipelinedFirings += w->pipelinedFirings();
-      discardedSpeculations += w->discardedSpeculations();
-      overlapS += w->pipelineOverlapSeconds();
       const auto& samples = w->planWallSamplesNs();
       slotNs.insert(slotNs.end(), samples.begin(), samples.end());
     }
@@ -522,11 +505,8 @@ int main(int argc, char** argv) {
     p.planShare = warmupS > 0.0 ? planS / warmupS : 0.0;
     p.planNodesPerS =
         planS > 0.0 ? static_cast<double>(plannedMembers) / planS : 0.0;
-    p.pipelineOverlapS = overlapS;
     p.planSlotP50Ms = percentileMs(0.50);
     p.planSlotP99Ms = percentileMs(0.99);
-    p.pipelinedFirings = pipelinedFirings;
-    p.discardedSpeculations = discardedSpeculations;
     p.maintTimers = maintTimers;
     p.completedShuffles = system.shuffleService().completedShuffles();
     p.viewDigest = viewDigest;
@@ -559,7 +539,7 @@ int main(int argc, char** argv) {
               << p.restoreS << " "
               << p.warmupSimH << " " << p.events << " " << p.eventsPerS
               << " " << p.planS << " " << p.commitS << " " << p.planShare
-              << " " << p.planNodesPerS << " " << p.pipelineOverlapS << " "
+              << " " << p.planNodesPerS << " "
               << p.planSlotP50Ms << " " << p.planSlotP99Ms
               << " " << p.maintTimers << " " << p.completedShuffles << " "
               << p.viewDigest << " " << p.meanDegree << " " << p.hsDegree

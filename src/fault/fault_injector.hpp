@@ -15,9 +15,8 @@
 // Availability seam. Outage and flash-crowd stages do not touch the
 // wire; they compose over the trace as an OutageOverlayModel that
 // forces hash-selected hosts offline (or online) for the epochs their
-// windows cover. Epoch granularity keeps the pipelined-dispatch
-// stability witness valid; membership maintenance, the network's
-// online oracle, the candidate feed and the engines all see the same
+// windows cover, at the trace's own epoch granularity. Membership
+// maintenance, the network's online oracle, the candidate feed and the engines all see the same
 // overlaid world because they all query the same model.
 //
 // State. The per-kind counters, injected-fault tallies and attack-sweep
@@ -244,8 +243,7 @@ class FaultInjector {
 /// Availability model composing a plan's outage and flash-crowd windows
 /// over an inner trace. Forcing decisions are pure hashes of
 /// (plan.seed, window, host) — stateless and epoch-pure, so the overlay
-/// is as concurrent-read-safe as its inner model and the pipelined
-/// dispatch witness (epoch equality across a plan window) stays valid.
+/// is as concurrent-read-safe as its inner model.
 ///
 /// fullAvailability() deliberately delegates to the inner model: the
 /// long-term availability PDF (and everything derived from it — ranges,

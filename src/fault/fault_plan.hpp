@@ -50,8 +50,7 @@ struct LossStage {
 /// Correlated regional outage: `fraction` of the hosts in `region` are
 /// forced offline for every trace epoch overlapping [fromUs, toUs).
 /// Epoch granularity is deliberate — onlineness may only change at
-/// epoch boundaries, which keeps the pipelined-dispatch stability
-/// witness (oracle epoch equality) valid under a campaign.
+/// epoch boundaries, exactly like the trace the outage overlays.
 struct OutageStage {
   std::int64_t fromUs = 0;
   std::int64_t toUs = 0;

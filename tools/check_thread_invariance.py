@@ -5,8 +5,8 @@ Usage: check_thread_invariance.py [--min-mean-degree X] A.json B.json
 
 Parallel plan dispatch — and a warm-state checkpoint restore, and an
 active fault campaign — must not change any simulation-visible
-statistic; only wall-clock fields, the reported thread count, and
-pipeline diagnostics may differ between runs. CI runs the smoke sweeps
+statistic; only wall-clock fields and the reported thread count may
+differ between runs. CI runs the smoke sweeps
 at threads=1 and threads=4 (and restored vs fresh, and chaos campaigns
 at two thread counts) and gates on this script.
 
@@ -65,9 +65,8 @@ INVARIANT_KEYS = (
     "ping_bytes",
 )
 
-# Wall-clock measurements, the knobs a comparison deliberately varies
-# (thread count, dispatch mode), and pipeline diagnostics that depend on
-# both. restore_s belongs here: one side of the checkpoint CI gate warms
+# Wall-clock measurements and the knob a comparison deliberately varies
+# (thread count). restore_s belongs here: one side of the checkpoint CI gate warms
 # up fresh (restore_s = 0) while the other restores.
 IGNORED_KEYS = frozenset(
     {
@@ -80,18 +79,14 @@ IGNORED_KEYS = frozenset(
         "commit_s",
         "plan_share",
         "plan_nodes_per_s",
-        "pipeline_overlap_s",
         "plan_slot_p50_ms",
         "plan_slot_p99_ms",
-        "pipelined_firings",
-        "discarded_speculations",
         "batch_s",
     }
 )
 
 # chaos_sweep samples: everything simulation-visible, nothing wall-clock.
-# A fault campaign must be bit-identical across thread counts and
-# dispatch modes — that is the whole point of the deterministic injector.
+# A fault campaign must be bit-identical across thread counts — that is the whole point of the deterministic injector.
 CHAOS_INVARIANT_KEYS = (
     "t_h",
     "delivered",

@@ -9,7 +9,7 @@ pinned down here are the ones CI leans on:
   * a missing invariant key fails (schema drift is loud);
   * an UNCLASSIFIED key fails — every new scale_sweep column must be
     sorted into INVARIANT_KEYS or IGNORED_KEYS by hand;
-  * restore_s / wall-clock / pipeline keys are in the ignore list, so a
+  * restore_s / wall-clock keys are in the ignore list, so a
     checkpoint-restored run diffs clean against a fresh warm-up.
 """
 import io
@@ -54,11 +54,8 @@ def point(**overrides):
         "commit_s": 0.5,
         "plan_share": 0.5,
         "plan_nodes_per_s": 1000.0,
-        "pipeline_overlap_s": 0.1,
         "plan_slot_p50_ms": 0.2,
         "plan_slot_p99_ms": 0.9,
-        "pipelined_firings": 10,
-        "discarded_speculations": 1,
         "maint_timers": 48,
         "completed_shuffles": 999,
         "view_digest": 0xDEADBEEF,
@@ -151,7 +148,6 @@ class SchemaCoverageTest(unittest.TestCase):
             restore_s=3.5,
             threads=8,
             events_per_s=0.0,
-            pipelined_firings=0,
         )
         failures, _ = run_check([fresh], [restored])
         self.assertEqual(failures, 0)

@@ -35,12 +35,8 @@ matrix jobs. detlint makes them static, enforced per commit:
                    CHAN section fails this lint, not a 77 MB artifact
                    diff three PRs later.
 
-Engines: with the libclang python bindings installed (``clang.cindex``)
-function facts come from the clang AST; without them a self-contained
-lexer + structural parser produces the same facts (this repo's CI images
-and dev boxes do not all ship libclang, so the builtin engine is the
-deterministic reference and the selftest runs against it). ``--engine
-auto`` prefers libclang and falls back loudly.
+Function facts come from a self-contained lexer + structural parser, so
+the lint needs nothing beyond the Python standard library.
 
 Suppressions: ``// detlint: allow(<check>) <justification>`` on the same
 line or the line above. The justification is mandatory; a bare allow()
@@ -289,7 +285,6 @@ class FileFacts:
     suppressions: List[Suppression]
     functions: List[FunctionFact]
     members: List[MemberFact]
-    engine: str = "builtin"
 
     def line_of(self, offset: int) -> int:
         return self.code.count("\n", 0, offset) + 1
@@ -385,7 +380,7 @@ def _segment_function_header(
     return name, params, is_const
 
 
-def _builtin_extract(path: Path, rel: str) -> FileFacts:
+def _extract(path: Path, rel: str) -> FileFacts:
     text = path.read_text(encoding="utf-8", errors="replace")
     code, comments = blank_noncode(text)
     code_lines = code.split("\n")
@@ -516,74 +511,6 @@ def _builtin_extract(path: Path, rel: str) -> FileFacts:
     return FileFacts(path=path, rel=rel, text=text, code=code,
                      code_lines=code_lines, suppressions=sups,
                      functions=functions, members=members)
-
-
-# --------------------------------------------------------------------------
-# Optional libclang engine
-# --------------------------------------------------------------------------
-
-
-def _clang_extract(path: Path, rel: str, clang_args: Sequence[str],
-                   cindex) -> FileFacts:
-    """Extract the same facts via the clang AST (libclang bindings)."""
-    base = _builtin_extract(path, rel)  # lexing/suppressions are shared
-    index = cindex.Index.create()
-    tu = index.parse(str(path), args=list(clang_args),
-                     options=cindex.TranslationUnit.PARSE_INCOMPLETE)
-    functions: List[FunctionFact] = []
-    members: List[MemberFact] = []
-    K = cindex.CursorKind
-
-    def offset_span(cur):
-        ext = cur.extent
-        return ext.start.offset, ext.end.offset
-
-    def visit(cur):
-        for ch in cur.get_children():
-            if ch.location.file is None or \
-                    os.path.realpath(str(ch.location.file)) != \
-                    os.path.realpath(str(path)):
-                continue
-            if ch.kind in (K.CXX_METHOD, K.FUNCTION_DECL, K.CONSTRUCTOR,
-                           K.DESTRUCTOR, K.FUNCTION_TEMPLATE) and \
-                    ch.is_definition():
-                a, b = offset_span(ch)
-                body = base.code[a:b]
-                brace = body.find("{")
-                parent = ch.semantic_parent
-                cls = parent.spelling if parent is not None and \
-                    parent.kind in (K.CLASS_DECL, K.STRUCT_DECL,
-                                    K.CLASS_TEMPLATE) else ""
-                params = ", ".join(
-                    f"{p.type.spelling} {p.spelling}"
-                    for p in ch.get_arguments())
-                is_const = bool(getattr(ch, "is_const_method",
-                                        lambda: False)())
-                functions.append(FunctionFact(
-                    name=ch.spelling,
-                    qualname=(f"{cls}::{ch.spelling}" if cls
-                              else ch.spelling),
-                    cls=cls, params=params, is_const=is_const,
-                    line=ch.location.line,
-                    body=base.code[a + brace:b] if brace >= 0 else "",
-                    body_line=base.code.count(
-                        "\n", 0, a + max(brace, 0)) + 1))
-            elif ch.kind == K.FIELD_DECL and "unordered_" in \
-                    ch.type.spelling:
-                parent = ch.semantic_parent
-                members.append(MemberFact(
-                    parent.spelling if parent is not None else "",
-                    ch.spelling, ch.type.spelling, ch.location.line))
-            visit(ch)
-
-    visit(tu.cursor)
-    functions = [f for f in functions if f.body]
-    if not functions:   # macro-heavy or parse trouble: keep builtin facts
-        return base
-    base.functions = functions
-    base.members = members or base.members
-    base.engine = "libclang"
-    return base
 
 
 # --------------------------------------------------------------------------
@@ -979,50 +906,9 @@ def discover_files(repo_root: Path, paths: Sequence[str],
     return sorted(files)
 
 
-def _clang_args_for(compile_commands: Optional[Path]) -> List[str]:
-    if compile_commands and compile_commands.exists():
-        try:
-            for entry in json.loads(compile_commands.read_text()):
-                args = entry.get("command", "").split()[1:]
-                keep = [a for a in args if a.startswith(("-I", "-D",
-                                                         "-std="))]
-                if keep:
-                    return keep
-        except ValueError:
-            pass
-    return ["-std=c++20"]
-
-
-def analyze(repo_root: Path, files: Sequence[Path], engine: str,
-            compile_commands: Optional[Path]) -> Tuple[List[FileFacts],
-                                                       str]:
-    cindex = None
-    chosen = "builtin"
-    if engine in ("auto", "libclang"):
-        try:
-            from clang import cindex as _ci  # type: ignore
-            _ci.Index.create()
-            cindex = _ci
-            chosen = "libclang"
-        except Exception as e:  # noqa: BLE001 — any failure gates the dep
-            if engine == "libclang":
-                print(f"detlint: error: --engine libclang requested but "
-                      f"unavailable: {e}", file=sys.stderr)
-                sys.exit(2)
-            chosen = "builtin"
-    clang_args = _clang_args_for(compile_commands) if cindex else []
-    facts: List[FileFacts] = []
-    for path in files:
-        rel = os.path.relpath(path, repo_root)
-        if cindex is not None:
-            try:
-                facts.append(_clang_extract(path, rel, clang_args, cindex))
-                continue
-            except Exception as e:  # noqa: BLE001
-                print(f"detlint: warning: libclang failed on {rel} "
-                      f"({e}); using builtin facts", file=sys.stderr)
-        facts.append(_builtin_extract(path, rel))
-    return facts, chosen
+def analyze(repo_root: Path, files: Sequence[Path]) -> List[FileFacts]:
+    return [_extract(path, os.path.relpath(path, repo_root))
+            for path in files]
 
 
 def run_checks(facts: List[FileFacts],
@@ -1068,14 +954,13 @@ def run_checks(facts: List[FileFacts],
     return findings
 
 
-def summary_md(findings: List[Finding], engine: str,
-               n_files: int) -> str:
+def summary_md(findings: List[Finding], n_files: int) -> str:
     active = [f for f in findings if not f.suppressed]
     sup = [f for f in findings if f.suppressed]
     lines = [
         "## detlint findings",
         "",
-        f"Engine: `{engine}` · files scanned: {n_files} · "
+        f"Files scanned: {n_files} · "
         f"unsuppressed: **{len(active)}** · suppressed: {len(sup)}",
         "",
     ]
@@ -1107,12 +992,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     default=Path(__file__).resolve().parents[2])
     ap.add_argument("--compile-commands", type=Path, default=None,
                     help="CMake-exported compile_commands.json (used for "
-                         "the TU list and clang args; headers are always "
-                         "globbed)")
+                         "the TU list; headers are always globbed)")
     ap.add_argument("--paths", nargs="*", default=list(DEFAULT_PATHS),
                     help="paths (relative to repo root) to scan")
-    ap.add_argument("--engine", choices=("auto", "libclang", "builtin"),
-                    default="auto")
     ap.add_argument("--check", action="append", default=None,
                     help="restrict to the named check (repeatable)")
     ap.add_argument("--format", choices=("text", "json"), default="text")
@@ -1146,13 +1028,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("detlint: no source files found", file=sys.stderr)
         return 2
 
-    facts, engine = analyze(repo_root, files, args.engine, cc)
+    facts = analyze(repo_root, files)
     findings = run_checks(facts,
                           set(args.check) if args.check else None)
     active = [f for f in findings if not f.suppressed]
 
     payload = {
-        "engine": engine,
         "files": len(files),
         "unsuppressed": len(active),
         "suppressed": len(findings) - len(active),
@@ -1164,14 +1045,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for f in findings:
             print(f.text())
-        print(f"detlint: engine={engine} files={len(files)} "
+        print(f"detlint: files={len(files)} "
               f"unsuppressed={len(active)} "
               f"suppressed={len(findings) - len(active)}")
     if args.json_out:
         args.json_out.write_text(json.dumps(payload, indent=2) + "\n")
     if args.summary_md:
         args.summary_md.write_text(
-            summary_md(findings, engine, len(files)))
+            summary_md(findings, len(files)))
     return 1 if active else 0
 
 

@@ -18,9 +18,6 @@ The properties pinned down here are the ones CI leans on:
   * an unused allow() is itself a finding (stale suppressions are loud);
   * the CLI contract: exit 1 on findings, exit 0 on clean, --format json
     is machine-readable.
-
-The selftest always runs the builtin engine so its verdicts do not
-depend on whether libclang is installed on the host.
 """
 import json
 import subprocess
@@ -38,7 +35,7 @@ import detlint  # noqa: E402
 
 def lint(*names):
     files = sorted(FIXTURES / n for n in names)
-    facts, _ = detlint.analyze(FIXTURES, files, "builtin", None)
+    facts = detlint.analyze(FIXTURES, files)
     return detlint.run_checks(facts)
 
 
@@ -183,8 +180,7 @@ class SuppressionTest(unittest.TestCase):
         tmp = FIXTURES.parent / "tmp_unused_allow.cpp"
         tmp.write_text(stale)
         try:
-            facts, _ = detlint.analyze(FIXTURES.parent, [tmp], "builtin",
-                                       None)
+            facts = detlint.analyze(FIXTURES.parent, [tmp])
             findings = detlint.run_checks(facts)
             self.assertTrue(any(f.check == "unused-allow"
                                 for f in active(findings)),
@@ -197,7 +193,7 @@ class CliContractTest(unittest.TestCase):
     def run_cli(self, *extra):
         return subprocess.run(
             [sys.executable, str(HERE / "detlint.py"),
-             "--engine", "builtin", "--repo-root", str(FIXTURES),
+             "--repo-root", str(FIXTURES),
              *extra],
             capture_output=True, text=True)
 
