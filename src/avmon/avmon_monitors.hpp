@@ -155,8 +155,14 @@ class AvmonSystem {
   [[nodiscard]] EstimateCell monitorCounters(NodeIndex m,
                                              NodeIndex target) const;
 
-  /// Is monitor `m` online right now (reachable by a querier)?
-  [[nodiscard]] bool monitorOnline(NodeIndex m) const;
+  /// The trace epoch containing the current simulated time: a monitor
+  /// `m` is reachable by a querier iff trace().onlineInEpoch(m, e).
+  [[nodiscard]] std::size_t currentEpoch() const {
+    return trace_.epochAt(sim_.now());
+  }
+  [[nodiscard]] const trace::AvailabilityModel& trace() const noexcept {
+    return trace_;
+  }
 
   [[nodiscard]] std::size_t hostCount() const noexcept { return ids_.size(); }
 

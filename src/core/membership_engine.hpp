@@ -86,10 +86,10 @@ class MembershipEngine {
 
   /// `pool` (optional) parallelizes the plan phase of slot firings; the
   /// caller must only pass a pool when the view/online/feed seams and the
-  /// node's plan-phase reads (availability service, pair hasher, churn
-  /// model) are safe to call concurrently — AvmemSimulation gates this on
-  /// the backends' declared capabilities. `feed`/`publish` (optional)
-  /// plug in the rendezvous candidate directory.
+  /// node's plan-phase reads (availability service, churn model) are safe
+  /// to call concurrently — AvmemSimulation gates this on the service's
+  /// declared capability. `feed`/`publish` (optional) plug in the
+  /// rendezvous candidate directory.
   MembershipEngine(sim::Simulator& sim, std::vector<AvmemNode>& nodes,
                    ViewFn view, OnlineFn online,
                    const MembershipEngineConfig& config, sim::Rng rng,

@@ -206,12 +206,12 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
     }
   }
 
-  pairHash_ = std::make_unique<hashing::CachingPairHasher>(
-      config.protocol.hashAlgorithm, config.protocol.hashSeed);
-
   ctx_ = std::make_unique<ProtocolContext>(ProtocolContext{
-      *sim_, *service_, *predicate_, ids_, *pairHash_, config.protocol});
-  if (pairHash_->algorithm() == hashing::PairHashAlgorithm::kFast64) {
+      *sim_, *service_, *predicate_, ids_,
+      hashing::PairHasher(config.protocol.hashAlgorithm,
+                          config.protocol.hashSeed),
+      config.protocol});
+  if (config.protocol.hashAlgorithm == hashing::PairHashAlgorithm::kFast64) {
     // Precompute every identifier's 6-byte absorb tail so the plan-phase
     // hot loops can use the batched hash lane (hash/fast64_batch.hpp).
     ctx_->idTails.reserve(n);
@@ -226,16 +226,15 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
   }
 
   // Parallel shard dispatch: the maintenance plan phase may fan out
-  // across a worker pool, but only when every shared read on that path is
-  // concurrency-safe — the service and hasher declare their capability,
-  // and anything else clamps back to serial. The clamp never changes
-  // results (plan/commit is bit-identical at any thread count), only how
-  // many cores the warm-up uses.
+  // across a worker pool, but only when the availability service declares
+  // its query path concurrency-safe (the pair hash is a pure function);
+  // otherwise it clamps back to serial. The clamp never changes results
+  // (plan/commit is bit-identical at any thread count), only how many
+  // cores the warm-up uses.
   std::size_t threads = config.maintenanceThreads == 0
                             ? sim::WorkerPool::defaultThreadCount()
                             : config.maintenanceThreads;
-  if (threads > 1 &&
-      (!service_->concurrentReadSafe() || !pairHash_->concurrentSafe())) {
+  if (threads > 1 && !service_->concurrentReadSafe()) {
     threads = 1;
   }
   if (threads > 1) {
@@ -262,9 +261,8 @@ void AvmemSimulation::buildSystem(const SimulationConfig& config) {
 
   // Availability-bucketed rendezvous candidate feed: the second Discovery
   // candidate seam. Draws read only the frozen directory snapshot plus
-  // the pair hash and predicate, so the plan phase may call them
-  // concurrently whenever the engine's other read paths already qualify
-  // (the hasher gate above covers the feed's only shared service).
+  // the pure pair hash and predicate, so the plan phase may call them
+  // concurrently.
   if (config.candidateFeed.enabled && !config.useCoarseViewOverlay) {
     feed_ = std::make_unique<CandidateFeed>(
         config.candidateFeed, n, *ctx_, rng_.fork("candidate-feed").next());
@@ -380,13 +378,22 @@ std::vector<NodeIndex> AvmemSimulation::onlineNodes() const {
   return out;
 }
 
-std::optional<NodeIndex> AvmemSimulation::pickInitiator(AvBand band) {
+std::vector<NodeIndex> AvmemSimulation::eligibleInitiators(
+    AvBand band) const {
   std::vector<NodeIndex> eligible;
+  const std::size_t e = trace_->epochAt(sim_->now());
   const auto n = static_cast<NodeIndex>(nodes_.size());
   for (NodeIndex i = 0; i < n; ++i) {
-    if (!isOnline(i)) continue;
-    if (band.contains(trueAvailability(i))) eligible.push_back(i);
+    if (!trace_->onlineInEpoch(i, e)) continue;
+    if (band.contains(trace_->availabilityUpToEpoch(i, e))) {
+      eligible.push_back(i);
+    }
   }
+  return eligible;
+}
+
+std::optional<NodeIndex> AvmemSimulation::pickInitiator(AvBand band) {
+  const std::vector<NodeIndex> eligible = eligibleInitiators(band);
   if (eligible.empty()) return std::nullopt;
   return eligible[rng_.index(eligible.size())];
 }
@@ -412,13 +419,15 @@ AnycastBatchResult AvmemSimulation::runAnycastBatch(
   if (!started_) warmup(sim::SimDuration::zero());
   AnycastBatchResult batch;
 
-  std::size_t launched = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    const auto initiator = pickInitiator(band);
-    if (!initiator) break;
-    ++launched;
+  // Every launch is scheduled at the current instant, so one scan serves
+  // all `count` draws (same RNG draws, in the same order, as `count`
+  // pickInitiator calls).
+  const std::vector<NodeIndex> eligible = eligibleInitiators(band);
+  const std::size_t launched = eligible.empty() ? 0 : count;
+  for (std::size_t k = 0; k < launched; ++k) {
+    const NodeIndex initiator = eligible[rng_.index(eligible.size())];
     const auto delay = stagger * static_cast<std::int64_t>(k);
-    sim_->schedule(delay, [this, initiator = *initiator, params, &batch] {
+    sim_->schedule(delay, [this, initiator, params, &batch] {
       anycastEngine_->start(initiator, params,
                             [&batch](const AnycastResult& r) {
                               batch.results.push_back(r);

@@ -137,10 +137,10 @@ struct SimulationConfig {
   /// Worker threads for the maintenance plan phase (parallel shard
   /// dispatch; see docs/ARCHITECTURE.md "Parallel dispatch"). 1 = fully
   /// serial — the paper-fidelity default; 0 = auto
-  /// (hardware_concurrency). Counts above 1 require concurrency-safe
-  /// read paths — an oracle/noisy/AVMON availability service and the
-  /// cache-bypassing kFast64 pair hash — and are clamped to 1 otherwise
-  /// (results are identical either way; only wall-clock changes).
+  /// (hardware_concurrency). Counts above 1 require a concurrency-safe
+  /// availability service — oracle, noisy or AVMON — and are clamped to 1
+  /// otherwise (results are identical either way; only wall-clock
+  /// changes).
   /// Scenario builders honor the AVMEM_THREADS environment override.
   std::size_t maintenanceThreads = 1;
 
@@ -342,7 +342,7 @@ class AvmemSimulation {
 
   /// Launch `count` anycasts from initiators drawn from `band`, staggered
   /// `stagger` apart, and run until all settle (paper: 50 messages per
-  /// run). Initiators with no eligible node abort the batch early.
+  /// run). An empty band launches nothing.
   AnycastBatchResult runAnycastBatch(AvBand band, const AnycastParams& params,
                                      std::size_t count,
                                      sim::SimDuration stagger =
@@ -372,6 +372,9 @@ class AvmemSimulation {
   friend struct avmem::snapshot::CheckpointAccess;
 
   void buildSystem(const SimulationConfig& config);
+  /// Every online node whose ground-truth availability lies in `band`, in
+  /// index order (pickInitiator's draw pool).
+  [[nodiscard]] std::vector<NodeIndex> eligibleInitiators(AvBand band) const;
   /// Arm the plan's attacker-campaign timers (fresh-start path; the
   /// checkpoint restore path re-arms them from the FALT section instead).
   void startAttackCampaigns();
@@ -392,7 +395,6 @@ class AvmemSimulation {
 
   std::unique_ptr<avmon::ShuffleService> shuffle_;
   std::unique_ptr<AvmemPredicate> predicate_;
-  std::unique_ptr<hashing::CachingPairHasher> pairHash_;
   std::unique_ptr<ProtocolContext> ctx_;
   std::vector<AvmemNode> nodes_;
   std::unique_ptr<sim::WorkerPool> pool_;

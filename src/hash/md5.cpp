@@ -1,9 +1,14 @@
 #include "hash/md5.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
+#include "hash/unroll.hpp"
+
 namespace avmem::hashing {
+
+using detail::unroll;
 
 namespace {
 
@@ -50,29 +55,21 @@ void Md5::processBlock(const std::uint8_t* block) noexcept {
   std::uint32_t b = state_[1];
   std::uint32_t c = state_[2];
   std::uint32_t d = state_[3];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f = 0;
-    int g = 0;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
+  const auto step = [&](std::size_t i, std::uint32_t f, std::size_t g) {
     const std::uint32_t tmp = d;
     d = c;
     c = b;
     b = b + std::rotl(a + f + kSine[i] + m[g], kShift[i]);
     a = tmp;
-  }
+  };
+
+  unroll<0, 16>([&](std::size_t i) { step(i, d ^ (b & (c ^ d)), i); });
+  unroll<16, 16>(
+      [&](std::size_t i) { step(i, c ^ (d & (b ^ c)), (5 * i + 1) % 16); });
+  unroll<32, 16>(
+      [&](std::size_t i) { step(i, b ^ c ^ d, (3 * i + 5) % 16); });
+  unroll<48, 16>(
+      [&](std::size_t i) { step(i, c ^ (b | ~d), (7 * i) % 16); });
 
   state_[0] += a;
   state_[1] += b;
@@ -111,19 +108,18 @@ void Md5::update(std::span<const std::uint8_t> data) noexcept {
 Md5Digest Md5::finish() noexcept {
   const std::uint64_t bitLen = totalBytes_ * 8;
 
-  const std::uint8_t terminator = 0x80;
-  update(std::span<const std::uint8_t>(&terminator, 1));
-  const std::uint8_t zero = 0x00;
-  while (bufferLen_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Same padding as SHA-1, but the bit length is stored little-endian.
+  buffer_[bufferLen_++] = 0x80;
+  if (bufferLen_ > 56) {
+    std::memset(buffer_.data() + bufferLen_, 0, 64 - bufferLen_);
+    processBlock(buffer_.data());
+    bufferLen_ = 0;
   }
-
-  // Length is appended little-endian, unlike SHA-1.
-  std::uint8_t lenBytes[8];
-  for (int i = 0; i < 8; ++i) {
-    lenBytes[i] = static_cast<std::uint8_t>(bitLen >> (8 * i));
+  std::memset(buffer_.data() + bufferLen_, 0, 56 - bufferLen_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bitLen >> (8 * i));
   }
-  update(std::span<const std::uint8_t>(lenBytes, 8));
+  processBlock(buffer_.data());
 
   Md5Digest digest{};
   for (int i = 0; i < 4; ++i) {

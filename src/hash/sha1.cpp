@@ -1,14 +1,20 @@
 #include "hash/sha1.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
+#include "hash/unroll.hpp"
+
 namespace avmem::hashing {
+
+using detail::unroll;
 
 namespace {
 
-constexpr std::uint32_t rotl(std::uint32_t v, int s) noexcept {
-  return std::rotl(v, s);
+[[nodiscard]] inline std::uint32_t loadBigEndian(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
 }
 
 }  // namespace
@@ -20,46 +26,42 @@ void Sha1::reset() noexcept {
 }
 
 void Sha1::processBlock(const std::uint8_t* block) noexcept {
-  std::uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t{block[i * 4]} << 24) |
-           (std::uint32_t{block[i * 4 + 1]} << 16) |
-           (std::uint32_t{block[i * 4 + 2]} << 8) |
-           std::uint32_t{block[i * 4 + 3]};
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
+  // The message schedule W[0..79] lives in a 16-word ring: W[i] for
+  // i >= 16 overwrites W[i - 16], the oldest word still needed.
+  std::uint32_t w[16];
+  for (std::size_t i = 0; i < 16; ++i) w[i] = loadBigEndian(block + 4 * i);
+  const auto schedule = [&w](std::size_t i) {
+    if (i < 16) return w[i];
+    w[i & 15] = std::rotl(w[(i - 3) & 15] ^ w[(i - 8) & 15] ^
+                              w[(i - 14) & 15] ^ w[i & 15],
+                          1);
+    return w[i & 15];
+  };
 
   std::uint32_t a = state_[0];
   std::uint32_t b = state_[1];
   std::uint32_t c = state_[2];
   std::uint32_t d = state_[3];
   std::uint32_t e = state_[4];
-
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f = 0;
-    std::uint32_t k = 0;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
+  const auto step = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
+    const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + wi;
     e = d;
     d = c;
-    c = rotl(b, 30);
+    c = std::rotl(b, 30);
     b = a;
     a = tmp;
-  }
+  };
+
+  unroll<0, 20>([&](std::size_t i) {
+    step(d ^ (b & (c ^ d)), 0x5A827999u, schedule(i));
+  });
+  unroll<20, 20>(
+      [&](std::size_t i) { step(b ^ c ^ d, 0x6ED9EBA1u, schedule(i)); });
+  unroll<40, 20>([&](std::size_t i) {
+    step((b & c) | (d & (b | c)), 0x8F1BBCDCu, schedule(i));
+  });
+  unroll<60, 20>(
+      [&](std::size_t i) { step(b ^ c ^ d, 0xCA62C1D6u, schedule(i)); });
 
   state_[0] += a;
   state_[1] += b;
@@ -99,19 +101,19 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
 Sha1Digest Sha1::finish() noexcept {
   const std::uint64_t bitLen = totalBytes_ * 8;
 
-  // Append the mandatory 0x80 terminator then zero-pad to 56 mod 64.
-  const std::uint8_t terminator = 0x80;
-  update(std::span<const std::uint8_t>(&terminator, 1));
-  const std::uint8_t zero = 0x00;
-  while (bufferLen_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  // Terminator, zero padding to 56 mod 64, then the big-endian bit
+  // length. Only a tail of more than 55 bytes spills into a second block.
+  buffer_[bufferLen_++] = 0x80;
+  if (bufferLen_ > 56) {
+    std::memset(buffer_.data() + bufferLen_, 0, 64 - bufferLen_);
+    processBlock(buffer_.data());
+    bufferLen_ = 0;
   }
-
-  std::uint8_t lenBytes[8];
-  for (int i = 0; i < 8; ++i) {
-    lenBytes[i] = static_cast<std::uint8_t>(bitLen >> (56 - 8 * i));
+  std::memset(buffer_.data() + bufferLen_, 0, 56 - bufferLen_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bitLen >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(lenBytes, 8));
+  processBlock(buffer_.data());
 
   Sha1Digest digest{};
   for (int i = 0; i < 5; ++i) {

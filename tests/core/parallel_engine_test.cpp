@@ -177,12 +177,42 @@ TEST(ParallelEngineTest, RestoreEqualsRunThrough) {
 }
 
 TEST(ParallelEngineTest, UnsafeBackendsClampToSerial) {
-  // Paper-mode backends (AVMON service, SHA-1 memoized hash) have mutable
-  // query paths; asking for threads must clamp to 1 rather than race.
+  // The aged-availability service folds epochs lazily inside query(), a
+  // mutable read path; asking for threads must clamp to 1 rather than
+  // race.
   auto scenario = makeScenario("paper-default", {.fast = true});
+  scenario.config.backend = AvailabilityBackend::kAged;
   scenario.config.maintenanceThreads = 8;
   AvmemSimulation system(scenario.config);
   EXPECT_EQ(system.maintenanceThreads(), 1u);
+}
+
+TEST(ParallelEngineTest, PaperDefaultIsThreadCountInvariant) {
+  // The paper's own world — SHA-1 pair hash, AVMON monitoring — plans on
+  // the pool like the scale worlds: the hash is a pure function and AVMON
+  // queries read frozen counters, so nothing clamps it to serial and
+  // nothing about the run may depend on the thread count.
+  auto runPaper = [](std::size_t threads) {
+    auto scenario = makeScenario("paper-default", {.fast = true});
+    scenario.config.maintenanceThreads = threads;
+    AvmemSimulation system(scenario.config);
+    system.warmup(sim::SimDuration::hours(2));
+    return collectFingerprint(system);
+  };
+
+  const RunFingerprint serial = runPaper(1);
+  EXPECT_EQ(serial.effectiveThreads, 1u);
+  ASSERT_GT(serial.engine.discoveryRounds, 0u);
+  ASSERT_GT(serial.nodeTotals.neighborsDiscovered, 0u);
+  ASSERT_FALSE(serial.anycasts.empty());
+
+  for (const std::size_t threads : {2u, 8u}) {
+    RunFingerprint fp = runPaper(threads);
+    EXPECT_EQ(fp.effectiveThreads, threads);
+    fp.effectiveThreads = serial.effectiveThreads;
+    EXPECT_TRUE(fp == serial)
+        << "threads=" << threads << " diverged from the serial run";
+  }
 }
 
 TEST(ParallelEngineTest, ShuffleHeavyRunIsThreadCountInvariant) {

@@ -59,9 +59,8 @@ TEST(FailureInjectionTest, NodeWithNoEstimateIsNeitherDiscoveredNorVerified) {
   for (net::NodeIndex i = 0; i < 40; ++i) h.add(tr.fullAvailability(i));
   AvmemPredicate pred = makeRandomOverlayPredicate(
       AvailabilityPdf(std::move(h), 20.0), 1.0);
-  hashing::CachingPairHasher hasher;
   ProtocolConfig pcfg;
-  ProtocolContext ctx{sim, flaky, pred, ids, hasher, pcfg};
+  ProtocolContext ctx{sim, flaky, pred, ids, hashing::PairHasher(), pcfg};
   AvmemNode node(0, ctx);
   AvmemNode receiver(1, ctx);
 
@@ -97,9 +96,8 @@ TEST(FailureInjectionTest, InflatedAvailabilityClaimsDoNotStick) {
   AvmemPredicate pred(std::make_shared<ConstantFractionSub>(1.0),
                       std::make_shared<ConstantFractionSub>(0.0), 0.1,
                       AvailabilityPdf(std::move(h), 30.0));
-  hashing::CachingPairHasher hasher;
   ProtocolConfig pcfg;
-  ProtocolContext ctx{sim, flaky, pred, ids, hasher, pcfg};
+  ProtocolContext ctx{sim, flaky, pred, ids, hashing::PairHasher(), pcfg};
 
   std::vector<AvmemNode> nodes;
   std::vector<net::NodeIndex> view;
