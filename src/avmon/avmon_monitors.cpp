@@ -286,24 +286,20 @@ AvmonSystem::SavedState AvmonSystem::saveState() const {
   return s;
 }
 
-void AvmonSystem::restoreState(const SavedState& s) {
+void AvmonSystem::restoreState(SavedState s,
+                               std::vector<std::vector<NodeIndex>> monitors) {
+  if (monitors.size() != s.cells.size()) {
+    throw std::invalid_argument(
+        "AvmonSystem restore: one monitor list per saved cell");
+  }
   advancedEpochs_.store(s.advancedEpochs, std::memory_order_release);
   pings_ = s.pings;
-  for (const SavedState::Cell& saved : s.cells) {
-    if (saved.target >= ids_.size()) {
-      throw std::invalid_argument(
-          "AvmonSystem restore: saved target out of range");
-    }
+  for (std::size_t i = 0; i < s.cells.size(); ++i) {
+    SavedState::Cell& saved = s.cells[i];
     auto cell = std::make_unique<TargetCell>();
-    scanMonitors(saved.target, cell->monitors);
-    if (saved.samples.size() != cell->monitors.size() ||
-        saved.up.size() != cell->monitors.size()) {
-      throw std::invalid_argument(
-          "AvmonSystem restore: monitor count mismatch (checkpoint was "
-          "taken under a different monitor relation)");
-    }
-    cell->samples = saved.samples;
-    cell->up = saved.up;
+    cell->monitors = std::move(monitors[i]);
+    cell->samples = std::move(saved.samples);
+    cell->up = std::move(saved.up);
     cells_[saved.target] = std::move(cell);
     ready_[saved.target].store(1, std::memory_order_release);
   }

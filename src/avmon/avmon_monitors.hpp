@@ -214,11 +214,18 @@ class AvmonSystem {
 
   [[nodiscard]] SavedState saveState() const;
 
-  /// Rebuild materialized cells and adopt the saved counters. Throws
-  /// std::invalid_argument when a saved cell's counter count does not
-  /// match the recomputed monitor set (config/trace mismatch the
-  /// fingerprint should have caught). Only valid on a fresh system.
-  void restoreState(const SavedState& s);
+  /// The monitor set of `target` recomputed from the hash relation
+  /// (ascending, O(N) pair hashes), appended to `out`. The restore path
+  /// scans each saved cell once, checks its counters against the result
+  /// and hands the lists to restoreState().
+  void scanMonitors(NodeIndex target, std::vector<NodeIndex>& out) const;
+
+  /// Rebuild materialized cells from the saved counters and their
+  /// recomputed monitor lists (`monitors[i]` belongs to `s.cells[i]`; the
+  /// caller has checked targets and counter lengths). Only valid on a
+  /// fresh system.
+  void restoreState(SavedState s,
+                    std::vector<std::vector<NodeIndex>> monitors);
 
  private:
   /// The facade reads cells directly (no per-monitor binary search on the
@@ -236,7 +243,6 @@ class AvmonSystem {
   static constexpr std::size_t kStripes = 64;
 
   [[nodiscard]] const TargetCell& ensureCell(NodeIndex target) const;
-  void scanMonitors(NodeIndex target, std::vector<NodeIndex>& out) const;
   void advanceEpochBoundary();
   void foldEpoch(std::uint64_t e);
   /// Bill one ping over the wire seam; returns false when an injected

@@ -221,9 +221,10 @@ class AvmemNode {
   void adoptCoarseView(std::span<const NodeIndex> view);
 
   /// Warm-state restore (snapshot/): install checkpointed protocol state
-  /// wholesale. Slivers arrive through SliverList::restore so timestamps
-  /// and entry order survive exactly; counters resume from their saved
-  /// values so post-restore stats equal a straight-through run's.
+  /// wholesale. Slivers arrive as the checkpoint layout parsed them, so
+  /// timestamps and entry order survive exactly; counters resume from
+  /// their saved values so post-restore stats equal a straight-through
+  /// run's.
   void restoreState(double selfAv, SliverList hs, SliverList vs,
                     const NodeStats& stats) {
     selfAv_ = selfAv;

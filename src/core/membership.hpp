@@ -4,13 +4,16 @@
 #include <algorithm>
 #include <cstddef>
 #include <span>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/node_id.hpp"
 #include "core/predicates.hpp"
 #include "sim/time.hpp"
+
+namespace avmem::snapshot {
+struct Layout;
+}  // namespace avmem::snapshot
 
 namespace avmem::core {
 
@@ -141,35 +144,13 @@ class SliverList {
     refreshedAt_.clear();
   }
 
-  // Remaining flat-array views, for checkpointing (snapshot/): upsert()
-  // stamps `now`, so a faithful restore must install the original
-  // timestamps wholesale instead of replaying inserts.
-  [[nodiscard]] std::span<const sim::SimTime> addedTimes() const noexcept {
-    return addedAt_;
-  }
-  [[nodiscard]] std::span<const sim::SimTime> refreshedTimes()
-      const noexcept {
-    return refreshedAt_;
-  }
-
-  /// Warm-state restore (snapshot/): replace the whole list, timestamps
-  /// included, preserving entry order exactly (swap-with-back removal
-  /// makes order a function of operation history, so a restored list must
-  /// match it element-for-element to stay bit-identical going forward).
-  void restore(std::vector<NodeIndex> peers, std::vector<double> avs,
-               std::vector<sim::SimTime> addedAt,
-               std::vector<sim::SimTime> refreshedAt) {
-    if (peers.size() != avs.size() || peers.size() != addedAt.size() ||
-        peers.size() != refreshedAt.size()) {
-      throw std::invalid_argument("SliverList::restore: ragged arrays");
-    }
-    peers_ = std::move(peers);
-    avs_ = std::move(avs);
-    addedAt_ = std::move(addedAt);
-    refreshedAt_ = std::move(refreshedAt);
-  }
-
  private:
+  /// The checkpoint layout persists the four arrays wholesale: upsert()
+  /// stamps `now`, and swap-with-back removal makes entry order a function
+  /// of operation history, so a faithful restore installs the original
+  /// arrays instead of replaying inserts.
+  friend struct snapshot::Layout;
+
   std::vector<NodeIndex> peers_;
   std::vector<double> avs_;
   std::vector<sim::SimTime> addedAt_;

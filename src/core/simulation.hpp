@@ -258,8 +258,8 @@ class AvmemSimulation {
 
   /// Restore a checkpoint into this freshly-constructed system (it must
   /// not have been started). The checkpoint's config fingerprint must
-  /// match this system's config — thread count and dispatch mode aside —
-  /// or snapshot::CheckpointConfigError is thrown. After restore, running
+  /// match this system's config — thread count aside — or
+  /// snapshot::CheckpointConfigError is thrown. After restore, running
   /// to any later sim-time is bit-identical to a straight-through run.
   void restoreCheckpoint(const std::string& path);
   void restoreCheckpoint(std::istream& in);

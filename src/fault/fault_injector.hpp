@@ -6,8 +6,8 @@
 // that lands inside an active, scope-matching loss stage burns one
 // counter of that wire kind's stream and derives its dice from
 // Rng::stream(plan.seed, kind, seq) — a pure function, so verdicts are
-// independent of thread count and dispatch mode (all consults happen in
-// serial event/commit context, in identical order either way). Outside
+// independent of thread count (all consults happen in serial
+// event/commit context, in identical order at any count). Outside
 // any active stage onWire() is a pure no-op that draws nothing and
 // advances nothing, which is what makes a plan with no active stages —
 // or a disabled injector — byte-identical to a faultless run.

@@ -11,7 +11,7 @@
 //
 // Everything a plan contributes to a run is drawn from
 // Rng::stream(plan.seed, kind, seq) counter streams, so chaos runs stay
-// bit-identical at any thread count and in both dispatch modes. The
+// bit-identical at any thread count. The
 // plan's fingerprint() feeds the checkpoint config fingerprint: a
 // snapshot taken mid-campaign only restores into the same campaign.
 #pragma once

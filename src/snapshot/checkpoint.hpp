@@ -31,6 +31,12 @@
 // restarts reproduce it and the writer's per-slot records are
 // cross-checked against the rebuilt wheels (mismatch = format error).
 //
+// The byte layout is snapshot/sections.hpp: each section's fields listed
+// once, in one persist function that save and restore both run. Restore
+// parses every section into staging state and validates all of it (node
+// indices, arena spans, table sizes, AVMON monitor sets) before it
+// installs anything, so a rejected file leaves the target untouched.
+//
 // What is deliberately NOT saved (and why that is sound):
 //  * the anycast/multicast engines' RNGs — checkpoints are taken at
 //    maintenance-only instants (the save-side accounting enforces it), so
@@ -39,8 +45,9 @@
 //
 // Config compatibility: the header carries a fingerprint over every
 // result-determining config field. maintenanceThreads is excluded —
-// restore at any thread count — as are the checkpoint paths themselves. A mismatch throws
-// CheckpointConfigError instead of silently computing something else.
+// restore at any thread count — as are the checkpoint paths themselves.
+// A mismatch throws CheckpointConfigError instead of silently computing
+// something else.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +63,8 @@ class AvmemSimulation;
 namespace avmem::snapshot {
 
 /// 64-bit fingerprint over every config field that determines simulation
-/// results, in a fixed field order. Exclusions (thread count, dispatch
-/// mode, checkpoint paths) are the fields a restore is allowed to vary.
+/// results, in a fixed field order. Exclusions (thread count, checkpoint
+/// paths) are the fields a restore is allowed to vary.
 [[nodiscard]] std::uint64_t configFingerprint(
     const core::SimulationConfig& config);
 

@@ -51,8 +51,9 @@ const std::string& goodBytes() {
 }
 
 void expectRestoreThrows(const std::string& bytes,
-                         void (*check)(const CheckpointError&)) {
-  AvmemSimulation victim(donorScenario().config);
+                         void (*check)(const CheckpointError&),
+                         const Scenario& scenario = donorScenario()) {
+  AvmemSimulation victim(scenario.config);
   std::istringstream in(bytes, std::ios::binary);
   try {
     victim.restoreCheckpoint(in);
@@ -66,11 +67,15 @@ void expectRestoreThrows(const std::string& bytes,
 }
 
 template <typename Expected>
-void expectRestoreError(const std::string& bytes) {
-  expectRestoreThrows(bytes, [](const CheckpointError& e) {
-    EXPECT_NE(dynamic_cast<const Expected*>(&e), nullptr)
-        << "wrong error type: " << e.what();
-  });
+void expectRestoreError(const std::string& bytes,
+                        const Scenario& scenario = donorScenario()) {
+  expectRestoreThrows(
+      bytes,
+      [](const CheckpointError& e) {
+        EXPECT_NE(dynamic_cast<const Expected*>(&e), nullptr)
+            << "wrong error type: " << e.what();
+      },
+      scenario);
 }
 
 /// A section frame located inside the raw byte string.
@@ -125,6 +130,81 @@ std::vector<std::pair<std::uint32_t, std::string>> sectionsOf(
                      bytes.substr(f.payloadStart, f.payloadLen));
   }
   return out;
+}
+
+/// The donor world on the AVMON backend, so the file carries AVMN.
+Scenario avmonDonorScenario() {
+  Scenario s = donorScenario();
+  s.config.backend = core::AvailabilityBackend::kAvmon;
+  s.config.avmon.hashAlgorithm = hashing::PairHashAlgorithm::kFast64;
+  return s;
+}
+
+const std::string& avmonGoodBytes() {
+  static const std::string bytes = [] {
+    AvmemSimulation donor(avmonDonorScenario().config);
+    donor.warmup(sim::SimDuration::minutes(10));
+    std::ostringstream out(std::ios::binary);
+    donor.saveCheckpoint(out);
+    return out.str();
+  }();
+  return bytes;
+}
+
+template <typename T>
+T peek(const std::string& payload, std::size_t at) {
+  T v{};
+  std::memcpy(&v, payload.data() + at, sizeof(T));
+  return v;
+}
+
+template <typename T>
+void poke(std::string& payload, std::size_t at, T v) {
+  std::memcpy(payload.data() + at, &v, sizeof(T));
+}
+
+/// `bytes` with section `tag`'s payload passed through `edit`, reframed
+/// with a valid CRC so the attack gets past the checksum.
+template <typename Edit>
+std::string withSection(const std::string& bytes, const char* tag,
+                        Edit edit) {
+  const std::uint32_t id = fourcc(tag[0], tag[1], tag[2], tag[3]);
+  auto sections = sectionsOf(bytes);
+  bool found = false;
+  for (auto& [sid, payload] : sections) {
+    if (sid != id) continue;
+    edit(payload);
+    found = true;
+  }
+  EXPECT_TRUE(found) << "donor has no " << tag << " section";
+  return reframe(bytes.substr(0, kHeaderBytes), sections);
+}
+
+/// Offset of the first entry of a u64-counted list of raw u32 arrays (the
+/// SHFV views, each FEED bucket side).
+std::size_t firstNestedEntry(const std::string& payload) {
+  const auto count = peek<std::uint64_t>(payload, 0);
+  std::size_t pos = 8;
+  for (std::uint64_t i = 0; i < count; ++i, pos += 8) {
+    if (peek<std::uint64_t>(payload, pos) > 0) return pos + 8;
+  }
+  ADD_FAILURE() << "every array is empty";
+  return 0;
+}
+
+/// Offset of the first sliver peer in a NODS payload: per node an f64 and
+/// eight u64 counters, then two slivers of four raw arrays each.
+std::size_t firstSliverPeer(const std::string& nods) {
+  const auto count = peek<std::uint64_t>(nods, 0);
+  std::size_t pos = 8;
+  for (std::uint64_t node = 0; node < count; ++node) {
+    pos += 8 + 8 * 8;
+    for (int sliver = 0; sliver < 2; ++sliver, pos += 4 * 8) {
+      if (peek<std::uint64_t>(nods, pos) > 0) return pos + 8;
+    }
+  }
+  ADD_FAILURE() << "every sliver is empty";
+  return 0;
 }
 
 TEST(SnapshotHostileTest, EmptyAndGarbageStreams) {
@@ -246,6 +326,106 @@ TEST(SnapshotHostileTest, LyingNodeCountBehindValidCrc) {
   }
   expectRestoreError<CheckpointFormatError>(
       reframe(good.substr(0, kHeaderBytes), sections));
+}
+
+TEST(SnapshotHostileTest, TrailingBytesInSection) {
+  expectRestoreError<CheckpointFormatError>(
+      withSection(goodBytes(), "SIMU",
+                  [](std::string& p) { p.append(8, '\0'); }));
+}
+
+TEST(SnapshotHostileTest, DuplicateSection) {
+  const std::string& good = goodBytes();
+  auto sections = sectionsOf(good);
+  ASSERT_EQ(sections[0].first, fourcc('S', 'I', 'M', 'U'));
+  std::string later = sections[0].second;
+  poke<std::int64_t>(later, 0, peek<std::int64_t>(later, 0) + 1'000'000);
+  sections.insert(sections.begin() + 1, {sections[0].first, later});
+  expectRestoreError<CheckpointFormatError>(
+      reframe(good.substr(0, kHeaderBytes), sections));
+}
+
+TEST(SnapshotHostileTest, SliverPeerOutOfRange) {
+  expectRestoreError<CheckpointFormatError>(
+      withSection(goodBytes(), "NODS", [](std::string& p) {
+        poke<std::uint32_t>(p, firstSliverPeer(p), 250);
+      }));
+}
+
+TEST(SnapshotHostileTest, ViewEntryOutOfRange) {
+  // Accepted unchecked, this entry crashes the next discovery round.
+  expectRestoreError<CheckpointFormatError>(
+      withSection(goodBytes(), "SHFV", [](std::string& p) {
+        poke<std::uint32_t>(p, firstNestedEntry(p), 0x7fffffff);
+      }));
+}
+
+TEST(SnapshotHostileTest, ChannelEndpointOutOfRange) {
+  expectRestoreError<CheckpointFormatError>(
+      withSection(goodBytes(), "CHAN", [](std::string& p) {
+        ASSERT_GT(peek<std::uint64_t>(p, 0), 0u) << "no leg in flight";
+        poke<std::uint32_t>(p, 8 + 1, 250);  // first message's src
+      }));
+}
+
+TEST(SnapshotHostileTest, ChannelSpanPastArena) {
+  // Per message: u8 kind, six u32 (src, dst, payload offset/count, echo
+  // offset/count), four 64-bit keys; the arena follows the heap.
+  constexpr std::size_t kMsgBytes = 1 + 6 * 4 + 4 * 8;
+  expectRestoreError<CheckpointFormatError>(
+      withSection(goodBytes(), "CHAN", [](std::string& p) {
+        const auto legs = peek<std::uint64_t>(p, 0);
+        ASSERT_GT(legs, 0u) << "no leg in flight";
+        const auto arena = peek<std::uint64_t>(p, 8 + legs * kMsgBytes);
+        poke<std::uint32_t>(p, 8 + 1 + 2 * 4,
+                            static_cast<std::uint32_t>(arena));
+        poke<std::uint32_t>(p, 8 + 1 + 3 * 4, 1);
+      }));
+}
+
+TEST(SnapshotHostileTest, FeedBucketEntryOutOfRange) {
+  expectRestoreError<CheckpointFormatError>(
+      withSection(goodBytes(), "FEED", [](std::string& p) {
+        poke<std::uint32_t>(p, firstNestedEntry(p), 250);
+      }));
+}
+
+TEST(SnapshotHostileTest, MarkovCursorCountShort) {
+  expectRestoreError<CheckpointFormatError>(
+      withSection(goodBytes(), "MRKV", [](std::string& p) {
+        poke<std::uint64_t>(p, 0, peek<std::uint64_t>(p, 0) - 1);
+        p.resize(p.size() - 8);
+      }));
+}
+
+// AVMN: u64 fold cursor, four u64 ping counters, the epoch timer (u8 +
+// i64 + u64), then the cell count and per cell a u32 target and two raw
+// u32 counter arrays.
+constexpr std::size_t kAvmonCells = 8 + 4 * 8 + 1 + 8 + 8;
+
+TEST(SnapshotHostileTest, AvmonTargetOutOfRange) {
+  expectRestoreError<CheckpointFormatError>(
+      withSection(avmonGoodBytes(), "AVMN",
+                  [](std::string& p) {
+                    ASSERT_GT(peek<std::uint64_t>(p, kAvmonCells), 0u);
+                    poke<std::uint32_t>(p, kAvmonCells + 8, 250);
+                  }),
+      avmonDonorScenario());
+}
+
+TEST(SnapshotHostileTest, AvmonCounterLengthMismatch) {
+  expectRestoreError<CheckpointFormatError>(
+      withSection(avmonGoodBytes(), "AVMN",
+                  [](std::string& p) {
+                    ASSERT_GT(peek<std::uint64_t>(p, kAvmonCells), 0u);
+                    const std::size_t samples = kAvmonCells + 8 + 4;
+                    const auto k = peek<std::uint64_t>(p, samples);
+                    ASSERT_GT(k, 0u);
+                    const std::size_t up = samples + 8 + 4 * k;
+                    poke<std::uint64_t>(p, up, k - 1);
+                    p.erase(up + 8, 4);
+                  }),
+      avmonDonorScenario());
 }
 
 TEST(SnapshotHostileTest, ConfigFingerprintMismatch) {

@@ -2,7 +2,7 @@
 """detlint: determinism & plan-purity static analysis for the AVMEM tree.
 
 Every guarantee the simulator makes — bit-identical runs at any thread
-count, in both dispatch modes, and across checkpoint/restore — rests on
+count and across checkpoint/restore — rests on
 contracts that used to live only in review comments and expensive runtime
 matrix jobs. detlint makes them static, enforced per commit:
 
@@ -26,14 +26,6 @@ matrix jobs. detlint makes them static, enforced per commit:
                    from counter-based ``Rng::stream(seed, salt, seq)``:
                    raw ``Rng`` construction, ``fork()`` and sequential
                    draws from member generators are flagged.
-  ckpt-pairing     For every ``write<X>``/``read<X>`` serialization helper
-                   pair, the ordered primitive ledger (u8/u32/u64/i64/f64/
-                   raw<T> call sites) must match; every field of a
-                   ``SavedState`` struct must be referenced on both the
-                   save and the restore path. Adding a member to
-                   ``ShuffleChannel::SavedState`` without updating the
-                   CHAN section fails this lint, not a 77 MB artifact
-                   diff three PRs later.
 
 Function facts come from a self-contained lexer + structural parser, so
 the lint needs nothing beyond the Python standard library.
@@ -83,11 +75,6 @@ CHECKS = {
         "plan-phase randomness must be counter-based Rng::stream(seed, "
         "salt, seq); raw construction, fork() and member-generator draws "
         "are order-dependent"
-    ),
-    "ckpt-pairing": (
-        "checkpoint save/restore ledgers disagree (write/read primitive "
-        "sequences differ, or a SavedState field is not serialized on "
-        "both paths)"
     ),
     "unused-allow": (
         "a detlint allow() comment suppressed nothing; remove it or fix "
@@ -707,175 +694,6 @@ def check_rng_stream(ff: FileFacts) -> List[Finding]:
     return out
 
 
-_LEDGER_CALL_RE = re.compile(
-    r"\b(\w+)\s*(?:\.|->)\s*(u8|u32|u64|i64|f64|raw)\b"
-    r"\s*(?:<\s*([^<>()]*(?:<[^<>]*>)?[^<>()]*?)\s*>)?\s*\(")
-_NESTED_PAIR_RE = re.compile(r"\b(write|read)([A-Z]\w*)\s*\(")
-
-
-def _ledger(f: FunctionFact, side: str) -> List[str]:
-    """Ordered primitive ledger of a write*/read* helper body."""
-    events: List[Tuple[int, str]] = []
-    for m in _LEDGER_CALL_RE.finditer(f.body):
-        kind = m.group(2)
-        targ = re.sub(r"\s+", "", m.group(3) or "")
-        targ = targ.split("::")[-1] if targ else ""
-        events.append((m.start(), f"{kind}<{targ}>" if targ else kind))
-    for m in _NESTED_PAIR_RE.finditer(f.body):
-        if m.group(1) == side:
-            events.append((m.start(), f"call:{m.group(2)}"))
-    events.sort()
-    return [e for _, e in events]
-
-
-def _is_ckpt_helper(f: FunctionFact, side: str) -> bool:
-    if side == "write":
-        # Ledger writers mutate a SectionWriter; framing helpers that
-        # take the finished payload by const-ref are not ledgers.
-        return bool(re.match(r"^write[A-Z]", f.name)) and \
-            bool(re.search(r"(?<!const )\bSectionWriter\s*&", f.params))
-    return bool(re.match(r"^read[A-Z]", f.name)) and \
-        ("Cursor" in f.params or "Cursor" in f.body[:200])
-
-
-def check_ckpt_pairing(all_facts: List[FileFacts]) -> List[Finding]:
-    out: List[Finding] = []
-    writers: Dict[str, Tuple[FileFacts, FunctionFact]] = {}
-    readers: Dict[str, Tuple[FileFacts, FunctionFact]] = {}
-    for ff in all_facts:
-        for f in ff.functions:
-            if _is_ckpt_helper(f, "write"):
-                writers[f.name[len("write"):]] = (ff, f)
-            elif _is_ckpt_helper(f, "read"):
-                readers[f.name[len("read"):]] = (ff, f)
-    for key, (wff, wf) in sorted(writers.items()):
-        if key not in readers:
-            out.append(Finding(
-                wff.rel, wf.line, "ckpt-pairing",
-                f"serialization helper 'write{key}' has no matching "
-                f"'read{key}' — every write ledger needs a paired read "
-                f"ledger"))
-            continue
-        rff, rf = readers[key]
-        wl, rl = _ledger(wf, "write"), _ledger(rf, "read")
-        if wl != rl:
-            diff_at = next((i for i, (a, b) in
-                            enumerate(zip(wl, rl)) if a != b),
-                           min(len(wl), len(rl)))
-            out.append(Finding(
-                rff.rel, rf.line, "ckpt-pairing",
-                f"'write{key}'/'read{key}' ledgers disagree at step "
-                f"{diff_at}: write={wl} vs read={rl} — a field is "
-                f"serialized on one path only (or out of order)"))
-    for key, (rff, rf) in sorted(readers.items()):
-        if key not in writers:
-            out.append(Finding(
-                rff.rel, rf.line, "ckpt-pairing",
-                f"serialization helper 'read{key}' has no matching "
-                f"'write{key}'"))
-    # SavedState field coverage: every field must be referenced on both
-    # the save path and the restore path somewhere in the tree.
-    save_corpus: List[str] = []
-    restore_corpus: List[str] = []
-    for ff in all_facts:
-        for f in ff.functions:
-            if re.match(r"^(save|write)([A-Z]|$)", f.name):
-                save_corpus.append(f.body)
-            if re.match(r"^(restore|read)([A-Z]|$)", f.name):
-                restore_corpus.append(f.body)
-    save_text = "\n".join(save_corpus)
-    restore_text = "\n".join(restore_corpus)
-    for ff in all_facts:
-        for cls, fields, line_by_field in _saved_state_structs(ff):
-            owner = cls.rsplit("::", 1)[0] if "::" in cls else cls
-            n_fields = len(fields)
-            agg_save = _aggregate_covers(save_text, n_fields)
-            agg_restore = _aggregate_covers(restore_text, n_fields)
-            for fld in fields:
-                word = re.compile(r"\b" + re.escape(fld) + r"\b")
-                ok_save = agg_save or bool(word.search(save_text))
-                ok_restore = agg_restore or bool(
-                    word.search(restore_text))
-                if ok_save and ok_restore:
-                    continue
-                missing = []
-                if not ok_save:
-                    missing.append("save")
-                if not ok_restore:
-                    missing.append("restore")
-                out.append(Finding(
-                    ff.rel, line_by_field[fld], "ckpt-pairing",
-                    f"'{owner}::SavedState::{fld}' is not referenced on "
-                    f"the {' or '.join(missing)} path — a checkpoint "
-                    f"would silently drop it (update the section "
-                    f"writer/reader pair)"))
-    return out
-
-
-def _aggregate_covers(corpus: str, n_fields: int) -> bool:
-    """True if the corpus aggregate-initializes a SavedState with exactly
-    n_fields positional arguments (covers all fields without naming)."""
-    for m in re.finditer(r"\bSavedState\s*\{", corpus):
-        open_idx = corpus.find("{", m.start())
-        close = _match_fwd(corpus, open_idx, "{", "}")
-        if close == -1:
-            continue
-        inner = corpus[open_idx + 1:close].strip()
-        if not inner:
-            continue
-        depth = 0
-        args = 1
-        for ch in inner:
-            if ch in "({[<":
-                depth += 1
-            elif ch in ")}]>":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                args += 1
-        if args == n_fields:
-            return True
-    return False
-
-
-def _saved_state_structs(
-        ff: FileFacts) -> List[Tuple[str, List[str], Dict[str, int]]]:
-    """(qualified SavedState name, field names, field -> line)."""
-    results = []
-    for m in re.finditer(r"\bstruct\s+SavedState\s*\{", ff.code):
-        open_idx = ff.code.find("{", m.start())
-        close = _match_fwd(ff.code, open_idx, "{", "}")
-        if close == -1:
-            continue
-        body = ff.code[open_idx + 1:close]
-        fields: List[str] = []
-        lines: Dict[str, int] = {}
-        # Field declarations: "<type soup> name ( = init | {init} )? ;"
-        for dm in re.finditer(
-                r"^[^;{}()]*?([A-Za-z_]\w*)\s*(?:=\s*[^;]*|\{[^;{}]*\})?;",
-                body, re.M):
-            decl = dm.group(0)
-            if re.search(r"\b(using|typedef|static|friend)\b", decl):
-                continue
-            name = dm.group(1)
-            fields.append(name)
-            lines[name] = ff.code.count("\n", 0,
-                                        open_idx + 1 + dm.start(1)) + 1
-        if not fields:
-            continue
-        # Owning class: innermost class/struct whose brace span encloses
-        # this SavedState declaration.
-        owner = ""
-        for cm in re.finditer(r"\b(?:class|struct)\s+([A-Za-z_]\w*)[^;{=()]*\{",
-                              ff.code[:m.start()]):
-            brace = ff.code.find("{", cm.start())
-            end = _match_fwd(ff.code, brace, "{", "}")
-            if end != -1 and end > m.start():
-                owner = cm.group(1)
-        results.append((f"{owner}::SavedState" if owner else "SavedState",
-                        fields, lines))
-    return results
-
-
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -920,7 +738,6 @@ def run_checks(facts: List[FileFacts],
         findings += check_nondet_source(ff)
         findings += check_unordered(ff, global_members)
         findings += check_rng_stream(ff)
-    findings += check_ckpt_pairing(facts)
     if only:
         findings = [f for f in findings if f.check in only]
 

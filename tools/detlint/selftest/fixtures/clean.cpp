@@ -1,14 +1,13 @@
 // detlint selftest fixture: a TU that exercises every pattern detlint
 // inspects and must produce ZERO findings. Legitimate idioms the lint
 // must not flag: const plan methods, lane-writer plan methods,
-// Rng::stream draws, steady_clock host timing, point queries into an
-// unordered map held as a local, symmetric write/read ledgers, and a
-// fully-paired SavedState. This TU is never compiled by the main build.
+// Rng::stream draws, steady_clock host timing, and point queries into an
+// unordered map held as a local. This TU is never compiled by the main
+// build.
 
 #include <chrono>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 namespace sim {
 class Rng {
@@ -26,20 +25,6 @@ class Rng {
 
 struct MaintenancePlan {
   std::uint64_t draws = 0;
-};
-
-struct SectionWriter {
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  template <typename T>
-  void raw(const T& v);
-};
-
-struct Cursor {
-  std::uint32_t u32();
-  std::uint64_t u64();
-  template <typename T>
-  T raw();
 };
 
 struct Network {
@@ -93,43 +78,4 @@ class Engine {
   std::uint64_t round_ = 0;
   std::uint64_t applied_ = 0;
   int lanes_[8] = {};
-};
-
-struct Wheel {
-  std::uint64_t slots = 0;
-  std::uint32_t cursor = 0;
-};
-
-// Symmetric write/read pair: identical ledgers including raw<T>.
-inline void writeWheel(SectionWriter& sec, const Wheel& wheel) {
-  sec.u64(wheel.slots);
-  sec.u32(wheel.cursor);
-  sec.raw<std::uint64_t>(wheel.slots);
-}
-
-inline Wheel readWheel(Cursor& cur) {
-  Wheel wheel;
-  wheel.slots = cur.u64();
-  wheel.cursor = cur.u32();
-  (void)cur.raw<std::uint64_t>();
-  return wheel;
-}
-
-class Counter {
- public:
-  struct SavedState {
-    std::uint64_t ticks = 0;
-    std::uint64_t drops = 0;
-  };
-
-  SavedState saveState() const { return SavedState{ticks_, drops_}; }
-
-  void restoreState(const SavedState& s) {
-    ticks_ = s.ticks;
-    drops_ = s.drops;
-  }
-
- private:
-  std::uint64_t ticks_ = 0;
-  std::uint64_t drops_ = 0;
 };
