@@ -224,8 +224,8 @@ class AvmonSystem {
   /// recomputed monitor lists (`monitors[i]` belongs to `s.cells[i]`; the
   /// caller has checked targets and counter lengths). Only valid on a
   /// fresh system.
-  void restoreState(SavedState s,
-                    std::vector<std::vector<NodeIndex>> monitors);
+  void restoreState(const SavedState& s,
+                    const std::vector<std::vector<NodeIndex>>& monitors);
 
  private:
   /// The facade reads cells directly (no per-monitor binary search on the

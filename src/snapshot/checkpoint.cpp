@@ -484,7 +484,7 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
         (seen[i] ? " section saved, but this configuration has no such state"
                  : " section missing"));
   }
-  std::vector<std::vector<net::NodeIndex>> monitors =
+  const std::vector<std::vector<net::NodeIndex>> monitors =
       validate(s, sim, sim.attackTasks_.size(), haveMarkov);
 
   // --- install state (no events scheduled yet) ---
@@ -513,7 +513,7 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
     sim.fault_->restoreState(s.fault);
   }
   if (sim.avmonSystem_ != nullptr) {
-    sim.avmonSystem_->restoreState(std::move(s.avmon), std::move(monitors));
+    sim.avmonSystem_->restoreState(s.avmon, monitors);
   }
   if (haveMarkov) {
     detail::markovOf(*sim.trace_)->restoreCursors(s.markovCursors);
