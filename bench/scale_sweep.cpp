@@ -36,7 +36,7 @@
 //   AVMEM_SCALE_NS        comma list of population sizes
 //                         (default "10000,100000,1000000")
 //   AVMEM_SCALE_SEED      base RNG seed (default 20070101)
-//   AVMEM_TRACE_BACKEND   dense | bitpacked | markov
+//   AVMEM_TRACE_BACKEND   dense | markov
 //                         (default: the scenario's choice, markov)
 //   AVMEM_THREADS         maintenance plan-phase threads
 //                         (default 0 = every core; 1 = serial)

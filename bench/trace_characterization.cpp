@@ -5,8 +5,7 @@
 // Reported: availability marginal (headline: ~50% of hosts below 0.3),
 // session/absence length distributions, online population, and the
 // diurnal swing. Runs against any AvailabilityModel backend
-// (AVMEM_TRACE_BACKEND=dense|bitpacked|markov) — the recorded backends
-// characterize identically by construction; the streaming Markov backend
+// (AVMEM_TRACE_BACKEND=dense|markov) — the streaming Markov backend
 // shows the same availability marginal with a flat diurnal profile (the
 // generative model omits the day/night modulation).
 #include "bench/fig_common.hpp"

@@ -38,21 +38,11 @@ class AvailabilityService {
 
   /// The long-term availability of `target` as visible to `querier` now.
   /// nullopt when the service has no estimate (e.g. never-observed node).
+  /// The parallel maintenance plan phase calls this concurrently, so an
+  /// answer must be a pure read: a function of (querier, target, sim
+  /// time) with no unsynchronized mutable state on the query path.
   [[nodiscard]] virtual std::optional<double> query(NodeIndex querier,
                                                     NodeIndex target) = 0;
-
-  /// True when query() may be called concurrently from the parallel
-  /// maintenance plan phase: answers must be a pure function of
-  /// (querier, target, sim time) with no unsynchronized mutable state on
-  /// the query path. Backends that mutate per-query state on the query
-  /// path (aged EWMA cells) keep the default false, and the engine then
-  /// plans serially — correctness never depends on this flag, only
-  /// parallelism does. AVMON qualifies as of PR 9: its counters are
-  /// frozen between serial epoch-fold events and its monitor cells
-  /// publish through atomics.
-  [[nodiscard]] virtual bool concurrentReadSafe() const noexcept {
-    return false;
-  }
 };
 
 /// Ground truth: fraction uptime from trace start to the current instant.
@@ -65,12 +55,6 @@ class OracleAvailabilityService final : public AvailabilityService {
   [[nodiscard]] std::optional<double> query(NodeIndex /*querier*/,
                                             NodeIndex target) override {
     return trace_.availabilityAt(target, sim_.now());
-  }
-
-  /// Model reads are const and data-race-free (the Markov backend's
-  /// cursor is a relaxed atomic; dense/bit-packed traces are immutable).
-  [[nodiscard]] bool concurrentReadSafe() const noexcept override {
-    return true;
   }
 
  private:
@@ -117,12 +101,6 @@ class NoisyAvailabilityService final : public AvailabilityService {
         static_cast<double>(sim::splitMix64(h) >> 11) * 0x1.0p-53;
     const double err = (2.0 * u - 1.0) * maxError_;
     return std::clamp(*base + err, 0.0, 1.0);
-  }
-
-  /// The perturbation is a pure function of (querier, target, bucket);
-  /// safety reduces to the wrapped service's.
-  [[nodiscard]] bool concurrentReadSafe() const noexcept override {
-    return inner_.concurrentReadSafe();
   }
 
  private:

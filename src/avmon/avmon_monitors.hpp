@@ -32,9 +32,8 @@
 //    task: at the end of each trace epoch the task plans (read-only, fanned
 //    across the shared WorkerPool) which monitors and targets were online,
 //    then commits counters serially in ascending target order. query() is
-//    a pure read of frozen counters → concurrentReadSafe() is true and the
-//    engine plans in parallel with the AVMON backend, bit-identically at
-//    any thread count.
+//    a pure read of frozen counters, so the engine plans in parallel with
+//    the AVMON backend, bit-identically at any thread count.
 //  * Wire-billed pings. Each committed sample is a ping billed into
 //    NetworkStats (and answered by a pong when the target is up) through a
 //    friend seam on net::Network, consulted against the fault injector's
@@ -292,13 +291,6 @@ class AvmonAvailabilityService final : public AvailabilityService {
   /// reachable.
   [[nodiscard]] std::optional<double> query(NodeIndex querier,
                                             NodeIndex target) override;
-
-  /// query() reads frozen counters (advanced only at serial epoch-fold
-  /// events), the memoized monitor cell (atomic publication), and the
-  /// trace's online oracle — all safe under the parallel plan phase.
-  [[nodiscard]] bool concurrentReadSafe() const noexcept override {
-    return true;
-  }
 
  private:
   const AvmonSystem& system_;

@@ -164,6 +164,16 @@ class ShuffleService final : public net::ShuffleSink {
   /// slots and the channel wake in saved tie-break order.
   void restoreState(SavedState s);
 
+  /// Populated slots of the initiation wheel restoreState(`s`) builds, as
+  /// a pure query: restore checks the checkpoint's wheel records against
+  /// them before installing anything.
+  [[nodiscard]] std::vector<std::uint32_t> populatedSlots(
+      const SavedState& s) const {
+    return sim::ShardedScheduler::populatedSlots(
+        period_, shards_, views_.size(),
+        sim::Rng::fromState(s.rngState).fork("shuffle-jitter"));
+  }
+
   /// Mutable wheel/channel access for the restore orchestrator.
   [[nodiscard]] sim::ShardedScheduler& wheel() noexcept { return schedule_; }
   [[nodiscard]] net::ShuffleChannel& channel() noexcept { return channel_; }

@@ -27,7 +27,7 @@ struct ProtocolConfig {
   /// Function behind the pair hash H. SHA-1 is the paper-fidelity default;
   /// kFast64 is the scale-mode option (see hash/fast64.hpp).
   hashing::PairHashAlgorithm hashAlgorithm = hashing::PairHashAlgorithm::kSha1;
-  /// Deployment seed for kFast64 (ignored by the digest backends).
+  /// Deployment seed for kFast64 (ignored by SHA-1).
   std::uint64_t hashSeed = hashing::kFast64DefaultSeed;
 };
 

@@ -70,6 +70,19 @@ void MembershipEngine::stop() {
   started_ = false;
 }
 
+std::vector<std::uint32_t> MembershipEngine::discoverySlots() const {
+  return sim::ShardedScheduler::populatedSlots(
+      config_.discoveryPeriod, config_.shards, nodes_.size(),
+      rng_.fork("discovery-jitter"));
+}
+
+std::vector<std::uint32_t> MembershipEngine::refreshSlots() const {
+  if (config_.coarseViewOverlay) return {};
+  return sim::ShardedScheduler::populatedSlots(
+      config_.refreshPeriod, config_.shards, nodes_.size(),
+      rng_.fork("refresh-jitter"));
+}
+
 void MembershipEngine::planTick(Round round, NodeIndex i, std::size_t lane) {
   MaintenancePlan& plan = lanes_[lane];
   plan.reset();

@@ -122,6 +122,13 @@ class MembershipEngine {
   /// Cancel all maintenance timers.
   void stop();
 
+  /// Populated slots of the discovery and refresh wheels that start() and
+  /// prepareResume() build, as pure queries: restore checks a
+  /// checkpoint's wheel records against them before installing anything.
+  /// The coarse-view overlay runs no refresh wheel.
+  [[nodiscard]] std::vector<std::uint32_t> discoverySlots() const;
+  [[nodiscard]] std::vector<std::uint32_t> refreshSlots() const;
+
   // Mutable wheel access + counter install for the restore orchestrator
   // (snapshot/checkpoint.cpp); not part of the steady-state API.
   [[nodiscard]] sim::ShardedScheduler& discoveryWheel() noexcept {

@@ -3,14 +3,25 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-
-#include "hash/unroll.hpp"
+#include <utility>
 
 namespace avmem::hashing {
 
-using detail::unroll;
-
 namespace {
+
+template <std::size_t First, typename Body, std::size_t... I>
+inline void unrolled(Body& body, std::index_sequence<I...>) {
+  (body(First + I), ...);
+}
+
+/// body(First), body(First + 1), ..., body(First + N - 1) as straight-line
+/// code: every round index is a constant, so schedule slots, message
+/// words and shift amounts resolve at compile time instead of branching
+/// per round.
+template <std::size_t First, std::size_t N, typename Body>
+inline void unroll(Body body) {
+  unrolled<First>(body, std::make_index_sequence<N>{});
+}
 
 [[nodiscard]] inline std::uint32_t loadBigEndian(const std::uint8_t* p) {
   return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |

@@ -132,6 +132,23 @@ class ShardedScheduler {
     task->start(*sim_, at, period_, [this, s] { fireSlot(s); });
   }
 
+  /// The populated slots, ascending, that start(), startParallel() and
+  /// prepareParallel() build for these arguments: the same clamping and
+  /// jitter-driven assignment, as a pure query. Restore checks a
+  /// checkpoint's slot records against it before installing anything.
+  [[nodiscard]] static std::vector<std::uint32_t> populatedSlots(
+      SimDuration period, std::size_t shardCount, std::size_t memberCount,
+      Rng jitter) {
+    const auto slots = assignSlots(period, shardCount, memberCount, jitter);
+    std::vector<std::uint32_t> populated;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      if (!slots[s].empty()) {
+        populated.push_back(static_cast<std::uint32_t>(s));
+      }
+    }
+    return populated;
+  }
+
   /// The populated slot's periodic task (nullptr for empty slots) — the
   /// checkpoint writer reads each task's nextFireAt and pending-event seq.
   [[nodiscard]] const PeriodicTask* slotTask(std::size_t s) const noexcept {
@@ -190,28 +207,37 @@ class ShardedScheduler {
   }
 
  private:
-  void startSlots(Simulator& sim, SimDuration period, std::size_t shardCount,
-                  std::size_t memberCount, Rng jitter, bool arm) {
-    tasks_.clear();
-    slots_.clear();
-    taskOfSlot_.clear();
-    sim_ = &sim;
-    period_ = period;
-    memberCount_ = memberCount;
-    if (memberCount == 0 || period <= SimDuration::zero()) return;
-
+  /// Member lists per slot: member m's phase offset is drawn uniformly in
+  /// [0, period) from `jitter` and quantized to its slot. Empty when there
+  /// is nothing to schedule.
+  static std::vector<std::vector<std::uint32_t>> assignSlots(
+      SimDuration period, std::size_t shardCount, std::size_t memberCount,
+      Rng& jitter) {
+    if (memberCount == 0 || period <= SimDuration::zero()) return {};
     const std::size_t shards =
         shardCount == 0 ? autoShardCount(memberCount)
-                        : std::min(shardCount, std::max<std::size_t>(
-                                                   memberCount, 1));
-    slots_.assign(shards, {});
+                        : std::min(shardCount, memberCount);
+    std::vector<std::vector<std::uint32_t>> slots(shards);
     const auto periodUs = static_cast<std::uint64_t>(period.toMicros());
     for (std::uint32_t m = 0; m < memberCount; ++m) {
       const std::uint64_t offsetUs = jitter.below(periodUs);
       const auto slot = static_cast<std::size_t>(
           (offsetUs * shards) / periodUs);  // < shards by construction
-      slots_[slot].push_back(m);
+      slots[slot].push_back(m);
     }
+    return slots;
+  }
+
+  void startSlots(Simulator& sim, SimDuration period, std::size_t shardCount,
+                  std::size_t memberCount, Rng jitter, bool arm) {
+    tasks_.clear();
+    taskOfSlot_.clear();
+    sim_ = &sim;
+    period_ = period;
+    memberCount_ = memberCount;
+    slots_ = assignSlots(period, shardCount, memberCount, jitter);
+    const std::size_t shards = slots_.size();
+    const auto periodUs = static_cast<std::uint64_t>(period.toMicros());
 
     tasks_.reserve(shards);
     taskOfSlot_.assign(shards, nullptr);

@@ -170,6 +170,22 @@ std::vector<std::vector<net::NodeIndex>> validate(
             "sliver peer out of range");
   }
 
+  // Slot assignment is never saved: it is a pure function of the jitter
+  // RNG state, so the records must name exactly the slots the rebuilt
+  // wheels populate, in ascending order.
+  const std::array<std::vector<std::uint32_t>, 3> populated = {
+      sim.membershipEngine().discoverySlots(),
+      sim.membershipEngine().refreshSlots(),
+      sim.shuffleService().populatedSlots(s.shuffle)};
+  for (std::size_t w = 0; w < populated.size(); ++w) {
+    require(std::equal(s.wheels[w].begin(), s.wheels[w].end(),
+                       populated[w].begin(), populated[w].end(),
+                       [](const SlotRecord& r, std::uint32_t slot) {
+                         return r.slot == slot;
+                       }),
+            "wheel slot records do not match the rebuilt slot assignment");
+  }
+
   require(s.shuffle.views.size() == n && s.shuffle.rounds.size() == n,
           "shuffle views do not match the population");
   for (const auto& view : s.shuffle.views) {
@@ -273,8 +289,10 @@ std::uint64_t configFingerprint(const SimulationConfig& config) {
   m.add(static_cast<std::uint64_t>(config.backend));
   m.add(config.noisyMaxError);
   m.add(config.noisyStaleness);
-  m.add(config.agedAlpha);
-  m.add(config.centralSnapshotPeriod);
+  // Two retired backend knobs keep their slots at their former defaults,
+  // so every existing checkpoint still matches its world.
+  m.add(0.05);
+  m.add(sim::SimDuration::hours(2));
   m.add(config.avmon.expectedMonitorsPerTarget);
   m.add(static_cast<std::uint64_t>(config.avmon.hashAlgorithm));
   m.add(config.avmon.hashSeed);
@@ -311,13 +329,6 @@ void CheckpointAccess::save(const AvmemSimulation& sim, std::ostream& out) {
   if (!sim.started_) {
     throw CheckpointUnsupportedError(
         "checkpoint: system not started (nothing warm to save)");
-  }
-  if (sim.config_.backend == core::AvailabilityBackend::kAged ||
-      sim.config_.backend == core::AvailabilityBackend::kCentral) {
-    throw CheckpointUnsupportedError(
-        "checkpoint: the aged and central availability backends hold "
-        "per-query estimator state the format does not capture (the avmon "
-        "overlay checkpoints via its AVMN section as of v3)");
   }
   std::size_t runningAttackTimers = 0;
   for (const auto& task : sim.attackTasks_) {
@@ -528,30 +539,19 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
   // straight-through run.
 
   std::vector<ArmRequest> arms;
+  // validate() matched every record to a populated slot.
   auto armWheel = [&](sim::ShardedScheduler& wheel,
-                      const std::vector<SlotRecord>& recs, const char* name) {
-    if (recs.size() != wheel.activeShardCount()) {
-      throw CheckpointFormatError(
-          std::string("checkpoint: ") + name +
-          " wheel armed-slot count does not match the rebuilt wheel "
-          "(slot assignment failed to reproduce)");
-    }
+                      const std::vector<SlotRecord>& recs) {
     for (const SlotRecord& rec : recs) {
-      if (rec.slot >= wheel.shardCount() ||
-          wheel.slotTask(rec.slot) == nullptr) {
-        throw CheckpointFormatError(
-            std::string("checkpoint: ") + name +
-            " wheel slot assignment mismatch");
-      }
       arms.push_back({rec.fireAtUs, rec.seq,
                       [&wheel, slot = rec.slot, at = rec.fireAtUs] {
                         wheel.armSlot(slot, sim::SimTime::micros(at));
                       }});
     }
   };
-  armWheel(sim.engine_->discoveryWheel(), s.wheels[0], "discovery");
-  armWheel(sim.engine_->refreshWheel(), s.wheels[1], "refresh");
-  armWheel(sim.shuffle_->wheel(), s.wheels[2], "shuffle");
+  armWheel(sim.engine_->discoveryWheel(), s.wheels[0]);
+  armWheel(sim.engine_->refreshWheel(), s.wheels[1]);
+  armWheel(sim.shuffle_->wheel(), s.wheels[2]);
 
   net::ShuffleChannel& channel = sim.shuffle_->channel();
   if (channel.scheduledWakeMicros() != net::ShuffleChannel::kNoWakeSaved) {

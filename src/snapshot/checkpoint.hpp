@@ -28,8 +28,9 @@
 // and anything scheduled afterwards sorts behind them exactly as it would
 // have in the original run. Wheel slot *assignment* is never serialized —
 // it is a pure function of the saved jitter RNG state, so prepare-style
-// restarts reproduce it and the writer's per-slot records are
-// cross-checked against the rebuilt wheels (mismatch = format error).
+// restarts reproduce it, and the writer's per-slot records are checked
+// against that assignment before anything is installed (mismatch = format
+// error).
 //
 // The byte layout is snapshot/sections.hpp: each section's fields listed
 // once, in one persist function that save and restore both run. Restore

@@ -81,8 +81,8 @@ class CheckpointConfigError : public CheckpointError {
 };
 
 /// The live system holds state the format cannot capture (an in-flight
-/// anycast, an aged/central backend, an already-started restore
-/// target). Saving anyway would produce a silently partial snapshot.
+/// anycast, a never-started world, an already-started restore target).
+/// Saving anyway would produce a silently partial snapshot.
 class CheckpointUnsupportedError : public CheckpointError {
  public:
   using CheckpointError::CheckpointError;

@@ -7,9 +7,6 @@
 //
 //  * ChurnTrace (churn_trace.hpp) — dense bytes + uint32 prefix sums.
 //    Paper-fidelity figures; O(1) everything; ~5 bytes per host-epoch.
-//  * BitPackedTrace (bitpacked_trace.hpp) — 64-bit epoch words with
-//    per-word population counts. Identical answers to the dense trace at
-//    ~64x less bitmap memory; availability queries popcount one word.
 //  * MarkovChurnModel (markov_churn.hpp) — no stored timeline at all: a
 //    per-host two-state Markov chain generated on the fly from
 //    (p_up, mean-session-length) parameters. O(hosts) memory independent
@@ -17,7 +14,7 @@
 //
 // The two pure queries every backend must answer are onlineInEpoch() and
 // onlineEpochsThrough(); all time-based and fractional queries derive
-// from them here, so the three backends cannot drift apart on epoch
+// from them here, so the backends cannot drift apart on epoch
 // arithmetic.
 #pragma once
 
@@ -126,7 +123,7 @@ class AvailabilityModel {
   }
 
   /// Hosts online during epoch `e`. Backends may override with a faster
-  /// scan (e.g. word-at-a-time over packed bits).
+  /// scan.
   [[nodiscard]] virtual std::vector<HostIndex> onlineHostsInEpoch(
       std::size_t e) const;
 

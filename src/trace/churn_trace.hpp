@@ -8,10 +8,9 @@
 // availability prefix sums: every query is O(1), at ~5 bytes per
 // host-epoch.
 //
-// This is one of three interchangeable availability backends (see
-// availability_model.hpp): keep ChurnTrace for paper-fidelity figures and
-// on-disk traces; prefer BitPackedTrace when the bitmap dominates memory,
-// and MarkovChurnModel when even a packed timeline is too large.
+// This is one of two interchangeable availability backends (see
+// availability_model.hpp): ChurnTrace for paper-fidelity figures and
+// on-disk traces, MarkovChurnModel when a stored timeline is too large.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +27,7 @@ namespace avmem::trace {
 class ChurnTrace final : public AvailabilityModel {
  public:
   /// Build from per-host epoch bitmaps; `timeline[h][e]` is host h's online
-  /// flag in epoch e. All hosts must have the same number of epochs. (The
-  /// byte-vector timeline is this backend's input format, not the only
-  /// representation — BitPackedTrace accepts the same matrix.)
+  /// flag in epoch e. All hosts must have the same number of epochs.
   ChurnTrace(std::vector<std::vector<std::uint8_t>> timeline,
              sim::SimDuration epochDuration);
 

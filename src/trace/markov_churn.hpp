@@ -1,12 +1,12 @@
 // Streaming Markov churn: availability generated on the fly, O(hosts)
 // memory independent of trace duration.
 //
-// The dense and bit-packed backends materialize a timeline; at a million
-// hosts over the paper's 7-day/20-minute trace even the packed bitmap is
-// ~90 MB and the dense one ~2.5 GB. This backend stores *no timeline at
-// all*: each host is a two-state (on/off) Markov chain over epochs — the
-// same chain the synthetic Overnet generator runs (overnet_generator.cpp)
-// — whose parameters are just (p_up, mean-session-length). State is
+// The dense backend materializes a timeline; at a million hosts over the
+// paper's 7-day/20-minute trace it is ~2.5 GB. This backend stores *no
+// timeline at all*: each host is a two-state (on/off) Markov chain over
+// epochs — the same chain the synthetic Overnet generator runs
+// (overnet_generator.cpp) — whose parameters are just (p_up,
+// mean-session-length). State is
 // computed on demand from counter-based randomness, so the whole model is
 // one small record per host (~40 bytes) regardless of how many epochs the
 // experiment covers.
@@ -25,7 +25,7 @@
 // block re-seed preserves the stationary distribution, and long-term
 // availability converges to p_up. Session lengths are geometric with the
 // configured mean but truncate at block boundaries, and the generator's
-// diurnal modulation is omitted; use a recorded backend when session
+// diurnal modulation is omitted; use the dense backend when session
 // microstructure matters.
 #pragma once
 

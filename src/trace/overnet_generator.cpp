@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "trace/markov_churn.hpp"
 
@@ -35,11 +37,6 @@ double sampleIntrinsicAvailability(const OvernetTraceConfig& config,
 }
 
 ChurnTrace generateOvernetTrace(const OvernetTraceConfig& config) {
-  return ChurnTrace(generateOvernetTimeline(config), config.epochDuration);
-}
-
-std::vector<std::vector<std::uint8_t>> generateOvernetTimeline(
-    const OvernetTraceConfig& config) {
   if (config.hosts == 0 || config.epochs == 0) {
     throw std::invalid_argument("OvernetTraceConfig: empty trace");
   }
@@ -77,7 +74,7 @@ std::vector<std::vector<std::uint8_t>> generateOvernetTimeline(
     }
   }
 
-  return timeline;
+  return ChurnTrace(std::move(timeline), config.epochDuration);
 }
 
 }  // namespace avmem::trace

@@ -66,13 +66,6 @@ struct OvernetTraceConfig {
 /// Generate a synthetic churn trace. Deterministic in `config.seed`.
 [[nodiscard]] ChurnTrace generateOvernetTrace(const OvernetTraceConfig& config);
 
-/// Generate the raw per-host byte timeline (`timeline[h][e]` is host h's
-/// online flag in epoch e) without committing to a storage backend: feed
-/// it to ChurnTrace or BitPackedTrace. Identical bits to
-/// generateOvernetTrace for the same config.
-[[nodiscard]] std::vector<std::vector<std::uint8_t>> generateOvernetTimeline(
-    const OvernetTraceConfig& config);
-
 /// Draw a single intrinsic availability from the configured mixture.
 /// Exposed for tests and for building availability PDFs without a trace.
 [[nodiscard]] double sampleIntrinsicAvailability(

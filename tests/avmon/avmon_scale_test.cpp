@@ -1,9 +1,7 @@
-// AVMON on the plan/commit architecture (PR 9), end to end: a
-// scale-avmon scenario must (a) actually run the maintenance plan phase
-// in parallel — the AVMON service is the first paper backend to clear
-// the concurrentReadSafe() gate — (b) produce bit-identical results at
-// any thread count, and (c) survive the
-// warm-state checkpoint round trip, AVMN section included.
+// AVMON on the plan/commit architecture, end to end: a scale-avmon
+// scenario must (a) actually run the maintenance plan phase in parallel,
+// (b) produce bit-identical results at any thread count, and (c) survive
+// the warm-state checkpoint round trip, AVMN section included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -89,9 +87,9 @@ AvmonRunFingerprint runAvmon(std::size_t threads) {
   return collectFingerprint(system);
 }
 
-TEST(AvmonScaleTest, BackendClearsTheParallelGate) {
-  // The refactor's headline: kAvmon no longer clamps the plan phase to
-  // one thread (frozen counters + pure-read query path).
+TEST(AvmonScaleTest, PlansOnTheRequestedThreads) {
+  // kAvmon plans on the pool like every backend: its query path is a pure
+  // read of frozen counters.
   Scenario s = makeAvmonScenario(8);
   AvmemSimulation system(s.config);
   EXPECT_EQ(system.maintenanceThreads(), 8u);

@@ -176,17 +176,6 @@ TEST(ParallelEngineTest, RestoreEqualsRunThrough) {
   }
 }
 
-TEST(ParallelEngineTest, UnsafeBackendsClampToSerial) {
-  // The aged-availability service folds epochs lazily inside query(), a
-  // mutable read path; asking for threads must clamp to 1 rather than
-  // race.
-  auto scenario = makeScenario("paper-default", {.fast = true});
-  scenario.config.backend = AvailabilityBackend::kAged;
-  scenario.config.maintenanceThreads = 8;
-  AvmemSimulation system(scenario.config);
-  EXPECT_EQ(system.maintenanceThreads(), 1u);
-}
-
 TEST(ParallelEngineTest, PaperDefaultIsThreadCountInvariant) {
   // The paper's own world — SHA-1 pair hash, AVMON monitoring — plans on
   // the pool like the scale worlds: the hash is a pure function and AVMON

@@ -70,8 +70,7 @@ TEST(ScenarioTest, PaperScenariosKeepTheDenseTrace) {
 }
 
 TEST(ScenarioTest, ScaleScenarioRunsOnEveryTraceBackend) {
-  for (const auto backend : {TraceBackend::kDense, TraceBackend::kBitPacked,
-                             TraceBackend::kMarkov}) {
+  for (const auto backend : {TraceBackend::kDense, TraceBackend::kMarkov}) {
     auto s = makeScaleScenario(120, 7);
     s.config.traceBackend = backend;
     AvmemSimulation world(s.config);

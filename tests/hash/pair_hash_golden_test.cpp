@@ -1,8 +1,8 @@
 // Golden checksums of the paper-fidelity pair hash.
 //
 // Every paper-figure run keys its overlay off H(id(x), id(y)), so the
-// digest bodies behind kSha1 and kMd5 must reproduce the same doubles bit
-// for bit across any rewrite. The constants below were recorded from the
+// SHA-1 body behind kSha1 must reproduce the same doubles bit for bit
+// across any rewrite. The constants below were recorded from the
 // straightforward byte-at-a-time digest implementation; a faster body must
 // match them exactly. The WorkerPool case pins that H is a pure function
 // that may be evaluated from many threads at once (run it under TSan).
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/node_id.hpp"
-#include "hash/md5.hpp"
 #include "hash/normalized.hpp"
 #include "hash/pair_hash.hpp"
 #include "hash/sha1.hpp"
@@ -27,9 +26,7 @@ constexpr std::size_t kHosts = 300;
 constexpr std::uint64_t kIdSeed = 20070101;
 
 constexpr std::uint64_t kSha1PairChecksum = 0x528F8E949A9F203Dull;
-constexpr std::uint64_t kMd5PairChecksum = 0xA5B6B0C16536FBE2ull;
 constexpr std::uint64_t kSha1LengthChecksum = 0xAF52D7F0B9253A18ull;
-constexpr std::uint64_t kMd5LengthChecksum = 0xE7E5BF2FF3E2754Bull;
 
 /// FNV-1a over 64-bit words: order-sensitive, so a permuted or shifted
 /// value changes the checksum as surely as a wrong one.
@@ -62,15 +59,13 @@ std::uint64_t checksum(const std::vector<double>& values) {
   return acc;
 }
 
-/// Digest of the byte string 0, 1, ..., n-1 for every n in [0, 200): spans
+/// SHA-1 of the byte string 0, 1, ..., n-1 for every n in [0, 200): spans
 /// the one-block, two-block (56..63 byte) and multi-block padding paths.
-template <typename Digest>
-std::uint64_t lengthSweep(Digest (*digest)(std::span<const std::uint8_t>)) {
+std::uint64_t sha1LengthSweep() {
   std::uint64_t acc = kFoldBasis;
   std::vector<std::uint8_t> msg;
   for (std::size_t n = 0; n < 200; ++n) {
-    const Digest d = digest(msg);
-    for (const std::uint8_t byte : d) acc = fold(acc, byte);
+    for (const std::uint8_t byte : sha1(msg)) acc = fold(acc, byte);
     msg.push_back(static_cast<std::uint8_t>(n * 131 + 7));
   }
   return acc;
@@ -83,25 +78,15 @@ TEST(PairHashGoldenTest, Sha1PairsMatchRecordedChecksum) {
             kSha1PairChecksum);
 }
 
-TEST(PairHashGoldenTest, Md5PairsMatchRecordedChecksum) {
-  const auto ids = core::makeNodeIds(kHosts, kIdSeed);
-  EXPECT_EQ(checksum(allPairs(PairHasher(PairHashAlgorithm::kMd5), ids,
-                              nullptr)),
-            kMd5PairChecksum);
-}
-
 TEST(PairHashGoldenTest, DigestLengthSweepMatchesRecordedChecksum) {
-  EXPECT_EQ(lengthSweep<Sha1Digest>(&sha1), kSha1LengthChecksum);
-  EXPECT_EQ(lengthSweep<Md5Digest>(&md5), kMd5LengthChecksum);
+  EXPECT_EQ(sha1LengthSweep(), kSha1LengthChecksum);
 }
 
 TEST(PairHashGoldenTest, WorkerPoolThreadsMatchSerial) {
   const auto ids = core::makeNodeIds(kHosts, kIdSeed);
   sim::WorkerPool pool(4);
   const PairHasher sha(PairHashAlgorithm::kSha1);
-  const PairHasher md(PairHashAlgorithm::kMd5);
   EXPECT_EQ(checksum(allPairs(sha, ids, &pool)), kSha1PairChecksum);
-  EXPECT_EQ(checksum(allPairs(md, ids, &pool)), kMd5PairChecksum);
 }
 
 }  // namespace

@@ -166,6 +166,30 @@ TEST(ShardedSchedulerTest, MaxSlotPopulationBoundsLaneBuffers) {
   EXPECT_LT(maxLane, sched.maxSlotPopulation());
 }
 
+TEST(ShardedSchedulerTest, PopulatedSlotsQueryMatchesTheBuiltWheel) {
+  // Sparse (slots > populated) and dense wheels, auto and explicit counts.
+  for (const auto& [shards, members] :
+       {std::pair<std::size_t, std::size_t>{64, 20}, {0, 300}, {8, 1000}}) {
+    Simulator sim;
+    ShardedScheduler sched;
+    sched.start(sim, SimDuration::seconds(30), shards, members, Rng(17),
+                [](std::uint32_t) {});
+    std::vector<std::uint32_t> built;
+    for (std::size_t s = 0; s < sched.shardCount(); ++s) {
+      if (sched.slotTask(s) != nullptr) {
+        built.push_back(static_cast<std::uint32_t>(s));
+      }
+    }
+    EXPECT_EQ(ShardedScheduler::populatedSlots(SimDuration::seconds(30),
+                                               shards, members, Rng(17)),
+              built)
+        << shards << " shards, " << members << " members";
+  }
+  EXPECT_TRUE(ShardedScheduler::populatedSlots(SimDuration::seconds(1), 4, 0,
+                                               Rng(1))
+                  .empty());
+}
+
 TEST(ShardedSchedulerTest, EmptyPopulationSchedulesNothing) {
   Simulator sim;
   ShardedScheduler sched;

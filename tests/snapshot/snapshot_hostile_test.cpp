@@ -352,6 +352,35 @@ TEST(SnapshotHostileTest, SliverPeerOutOfRange) {
       }));
 }
 
+TEST(SnapshotHostileTest, WheelSlotOutOfRange) {
+  // WHLS: per wheel a u64 record count, then per record a u32 slot, an
+  // i64 fire time and a u64 rank. The slot check must run before anything
+  // is installed: the rejected victim stays fresh, restores the good
+  // bytes, and then runs exactly like the donor.
+  const std::string hostile =
+      withSection(goodBytes(), "WHLS", [](std::string& p) {
+        ASSERT_GT(peek<std::uint64_t>(p, 0), 0u) << "no armed slot";
+        poke<std::uint32_t>(p, 8, 9999);
+      });
+  AvmemSimulation victim(donorScenario().config);
+  {
+    std::istringstream in(hostile, std::ios::binary);
+    EXPECT_THROW(victim.restoreCheckpoint(in), CheckpointFormatError);
+  }
+  std::istringstream in(goodBytes(), std::ios::binary);
+  ASSERT_NO_THROW(victim.restoreCheckpoint(in));
+
+  AvmemSimulation donor(donorScenario().config);
+  donor.warmup(sim::SimDuration::minutes(10));
+  donor.warmup(sim::SimDuration::minutes(5));
+  victim.warmup(sim::SimDuration::minutes(5));
+  std::ostringstream donorOut(std::ios::binary);
+  std::ostringstream victimOut(std::ios::binary);
+  donor.saveCheckpoint(donorOut);
+  victim.saveCheckpoint(victimOut);
+  EXPECT_EQ(victimOut.str(), donorOut.str());
+}
+
 TEST(SnapshotHostileTest, ViewEntryOutOfRange) {
   // Accepted unchecked, this entry crashes the next discovery round.
   expectRestoreError<CheckpointFormatError>(
@@ -439,21 +468,9 @@ TEST(SnapshotHostileTest, ConfigFingerprintMismatch) {
 
 TEST(SnapshotHostileTest, SaveRefusesUnsupportedStates) {
   // Never started: nothing warm to save.
-  {
-    AvmemSimulation cold(donorScenario().config);
-    std::ostringstream out(std::ios::binary);
-    EXPECT_THROW(cold.saveCheckpoint(out), CheckpointUnsupportedError);
-  }
-  // Stateful availability backend: the format does not capture monitor
-  // state, so it must refuse rather than snapshot partially.
-  {
-    Scenario aged = donorScenario();
-    aged.config.backend = core::AvailabilityBackend::kAged;
-    AvmemSimulation system(aged.config);
-    system.warmup(sim::SimDuration::minutes(5));
-    std::ostringstream out(std::ios::binary);
-    EXPECT_THROW(system.saveCheckpoint(out), CheckpointUnsupportedError);
-  }
+  AvmemSimulation cold(donorScenario().config);
+  std::ostringstream out(std::ios::binary);
+  EXPECT_THROW(cold.saveCheckpoint(out), CheckpointUnsupportedError);
 }
 
 TEST(SnapshotHostileTest, RestoreRefusesStartedSystem) {
